@@ -1,8 +1,9 @@
-"""Claim-reproduction experiments E1–E11 (see DESIGN.md §3).
+"""Claim-reproduction experiments E1–E12 (see DESIGN.md §3).
 
 Each module is runnable (``python -m repro.experiments.eN_...``) and
-exposes ``run_eN(*, ...) -> ENResult`` with a ``report()`` table; the
-benchmarks under ``benchmarks/`` call the same drivers.  Importing
+exposes ``run_eN(*, ...) -> ENResult`` with a ``report()`` table;
+``tests/integration/test_experiments.py`` asserts each claim's shape
+on the same drivers.  Importing
 this package registers every experiment in
 :mod:`repro.experiments.registry` (the ``@register`` decorators run),
 which is what drives ``python -m repro.experiments --list``.

@@ -2,23 +2,23 @@
 
 Times the quick E2/E5/E7 sweeps twice — once through the serial
 ``spec.run`` path and once through the process-parallel executor —
-verifies the two produce identical result payloads, and emits
-``BENCH_sweep.json`` recording per-experiment wall times, the overall
-speedup, and the machine's CPU count.
+verifies the two produce identical result payloads, and reports
+per-experiment wall times, the overall speedup, and the machine's CPU
+count.
 
 Usage::
 
     python -m repro.parallel.bench_sweep                    # print table
-    python -m repro.parallel.bench_sweep -o BENCH_sweep.json
-    make bench-sweep                                        # the same
+    python -m repro.parallel.bench_sweep -o sweep.json      # + JSON report
+    make bench-sweep                                        # print table
 
 Honesty note: the speedup is bounded by physical cores.  On a
 single-core container the parallel column mostly measures spawn and
 queue overhead (speedup < 1 is expected and correctly reported); the
 number that demonstrates the executor is the one from a multi-core
-runner, which is why the CI parallel-sweep job re-records this file
-on the hosted runners.  The payload-equality guard is meaningful on
-any machine.
+runner, which is why no JSON is tracked: the CI parallel-sweep job
+records one on the hosted runners and uploads it as an artifact.  The
+payload-equality guard is meaningful on any machine.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ def main(argv: Optional[list] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "-o", "--output", type=Path, default=None,
-        help="write the JSON report here (e.g. BENCH_sweep.json)",
+        help="also write the JSON report here",
     )
     parser.add_argument(
         "--workers", type=int, default=2, metavar="N",
