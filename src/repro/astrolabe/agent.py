@@ -32,7 +32,6 @@ from repro.core.config import NewsWireConfig
 from repro.core.errors import CertificateError, ZoneError
 from repro.core.identifiers import NodeId, ZonePath
 from repro.gossip.antientropy import Version, VersionedStore
-from repro.runtime.compat import coerce_runtime
 from repro.runtime.interface import Runtime
 from repro.sim.node import Process
 from repro.sim.trace import TraceLog
@@ -75,16 +74,10 @@ class AstrolabeAgent(Process):
         self,
         node_id: NodeId,
         runtime: Runtime,
-        config: Optional[NewsWireConfig] = None,
-        keychain: Optional[KeyChain] = None,
+        config: NewsWireConfig,
+        keychain: KeyChain,
         trace: Optional[TraceLog] = None,
-        *legacy: Any,
     ):
-        runtime, (config, keychain, trace) = coerce_runtime(
-            runtime, (config, keychain, trace), legacy, 3
-        )
-        if config is None or keychain is None:
-            raise TypeError("AstrolabeAgent requires a config and a keychain")
         if node_id.depth < 1:
             raise ZoneError("an agent needs a leaf path below the root")
         super().__init__(node_id, runtime)

@@ -52,12 +52,11 @@ class MulticastNode(AstrolabeAgent):
         self,
         node_id: NodeId,
         runtime: Runtime,
-        config: Optional[NewsWireConfig] = None,
-        keychain: Optional[KeyChain] = None,
+        config: NewsWireConfig,
+        keychain: KeyChain,
         trace: Optional[TraceLog] = None,
-        *legacy: Any,
     ):
-        super().__init__(node_id, runtime, config, keychain, trace, *legacy)
+        super().__init__(node_id, runtime, config, keychain, trace)
         mc = self.config.multicast
         metrics = self.trace.metrics
         self._m_forwards = metrics.counter("multicast.forwards")

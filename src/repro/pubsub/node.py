@@ -55,28 +55,12 @@ class PubSubNode(MulticastNode):
         self,
         node_id: NodeId,
         runtime: Runtime,
-        config: Optional[NewsWireConfig] = None,
-        keychain: Optional[KeyChain] = None,
+        config: NewsWireConfig,
+        keychain: KeyChain,
         trace: Optional[TraceLog] = None,
         scheme: Optional[SubscriptionScheme] = None,
-        *legacy: Any,
     ):
-        from repro.sim.engine import Simulation
-
-        if isinstance(runtime, Simulation):
-            # Legacy (node_id, sim, network, config, keychain, trace,
-            # scheme): every slot is shifted one right.  Realign the
-            # scheme locally and let the parent shim unshift the rest
-            # (the trace landed in our scheme slot — pass it along).
-            real_scheme = legacy[0] if legacy else None
-            super().__init__(node_id, runtime, config, keychain, trace, scheme)
-            scheme = real_scheme
-        else:
-            if legacy:
-                raise TypeError(
-                    f"too many positional arguments: {len(legacy)} extra"
-                )
-            super().__init__(node_id, runtime, config, keychain, trace)
+        super().__init__(node_id, runtime, config, keychain, trace)
         self.scheme = scheme if scheme is not None else BloomScheme(self.config.bloom)
         self._subscriptions: list[Subscription] = []
         self._publish_serial = 0

@@ -8,6 +8,7 @@ from repro.core.identifiers import ZonePath
 from repro.astrolabe.agent import AstrolabeAgent
 from repro.astrolabe.certificates import AggregationCertificate, KeyChain
 from repro.astrolabe.deployment import build_astrolabe
+from repro.runtime.sim import SimRuntime
 
 
 @pytest.fixture
@@ -21,7 +22,7 @@ class TestOwnRow:
     def test_agent_requires_leaf_path(self, sim, network, small_config):
         chain = KeyChain()
         with pytest.raises(ZoneError):
-            AstrolabeAgent(ZonePath(), sim, network, small_config, chain)
+            AstrolabeAgent(ZonePath(), SimRuntime(sim, network), small_config, chain)
 
     def test_base_attributes_present(self, deployment):
         agent = deployment.agents[0]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.core.identifiers import ItemId, ZonePath
+from repro.runtime.sim import SimRuntime
 from repro.sim.engine import Simulation
 from repro.sim.failures import FloodMessage
 from repro.sim.network import FixedLatency, Network
@@ -42,7 +43,7 @@ def rig():
     network = Network(sim, latency=FixedLatency(0.01))
     origin = OriginServer(zp("/o/www"), sim, network, capacity=100.0,
                           max_queue=5, page_items=3)
-    client = Client(zp("/c/c0"), sim, network)
+    client = Client(zp("/c/c0"), SimRuntime(sim, network))
     return sim, origin, client
 
 

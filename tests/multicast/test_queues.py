@@ -5,6 +5,7 @@ import pytest
 from repro.core.config import MulticastConfig
 from repro.core.errors import ConfigurationError
 from repro.core.identifiers import ZonePath
+from repro.runtime.sim import SimRuntime
 from repro.sim.engine import Simulation
 from repro.sim.network import FixedLatency, Network
 from repro.sim.node import Process
@@ -18,7 +19,7 @@ def zp(text):
 def make_queues(strategy: str, rate: float = 10.0):
     sim = Simulation(seed=1)
     network = Network(sim, latency=FixedLatency(0.001))
-    node = Process(zp("/z/fwd"), sim, network)
+    node = Process(zp("/z/fwd"), SimRuntime(sim, network))
     sent = []
     config = MulticastConfig(
         queue_strategy=strategy, max_send_rate=rate, forwarding_delay=0.0

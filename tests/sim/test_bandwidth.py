@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.errors import NetworkError
 from repro.core.identifiers import ZonePath
+from repro.runtime.sim import SimRuntime
 from repro.sim.engine import Simulation
 from repro.sim.network import FixedLatency, Network
 from repro.sim.node import Process
@@ -27,9 +28,9 @@ def rig(bandwidth):
     network = Network(
         sim, latency=FixedLatency(0.1), bandwidth=bandwidth
     )
-    a = Sink(zp("/z/a"), sim, network)
-    b = Sink(zp("/z/b"), sim, network)
-    c = Sink(zp("/z/c"), sim, network)
+    a = Sink(zp("/z/a"), SimRuntime(sim, network))
+    b = Sink(zp("/z/b"), SimRuntime(sim, network))
+    c = Sink(zp("/z/c"), SimRuntime(sim, network))
     return sim, network, a, b, c
 
 
@@ -70,8 +71,8 @@ class TestBandwidth:
     def test_unlimited_by_default(self):
         sim = Simulation(seed=1)
         network = Network(sim, latency=FixedLatency(0.1))
-        a = Sink(zp("/z/a"), sim, network)
-        b = Sink(zp("/z/b"), sim, network)
+        a = Sink(zp("/z/a"), SimRuntime(sim, network))
+        b = Sink(zp("/z/b"), SimRuntime(sim, network))
         a.send(b.node_id, "m", size=10**9)
         sim.run()
         assert b.arrivals[0][0] == pytest.approx(0.1)
@@ -96,9 +97,9 @@ class TestIngressBandwidth:
         network = Network(
             sim, latency=FixedLatency(0.1), ingress_bandwidth=ingress
         )
-        a = Sink(zp("/z/a"), sim, network)
-        b = Sink(zp("/z/b"), sim, network)
-        c = Sink(zp("/z/c"), sim, network)
+        a = Sink(zp("/z/a"), SimRuntime(sim, network))
+        b = Sink(zp("/z/b"), SimRuntime(sim, network))
+        c = Sink(zp("/z/c"), SimRuntime(sim, network))
         return sim, network, a, b, c
 
     def test_reception_time_added(self):

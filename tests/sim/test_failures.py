@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.core.identifiers import ZonePath
+from repro.runtime.sim import SimRuntime
 from repro.sim.engine import Simulation
 from repro.sim.failures import FailureInjector, FloodMessage
 from repro.sim.network import FixedLatency, Network
@@ -29,7 +30,7 @@ def rig():
     sim = Simulation(seed=9)
     network = Network(sim, latency=FixedLatency(0.01))
     injector = FailureInjector(sim, network)
-    nodes = [Sink(zp(f"/z/n{i}"), sim, network) for i in range(10)]
+    nodes = [Sink(zp(f"/z/n{i}"), SimRuntime(sim, network)) for i in range(10)]
     return sim, network, injector, nodes
 
 
@@ -69,7 +70,7 @@ class TestCrashes:
             sim = Simulation(seed=seed)
             network = Network(sim)
             injector = FailureInjector(sim, network)
-            nodes = [Sink(zp(f"/z/n{i}"), sim, network) for i in range(10)]
+            nodes = [Sink(zp(f"/z/n{i}"), SimRuntime(sim, network)) for i in range(10)]
             return [str(v.node_id) for v in injector.crash_fraction(1.0, nodes, 0.5)]
 
         assert victims_for(4) == victims_for(4)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.errors import NetworkError
 from repro.core.identifiers import ZonePath
+from repro.runtime.sim import SimRuntime
 from repro.sim.engine import Simulation
 from repro.sim.network import (
     FixedLatency,
@@ -33,8 +34,8 @@ def zp(text):
 def net_pair():
     sim = Simulation(seed=1)
     network = Network(sim, latency=FixedLatency(0.5))
-    a = Sink(zp("/z/a"), sim, network)
-    b = Sink(zp("/z/b"), sim, network)
+    a = Sink(zp("/z/a"), SimRuntime(sim, network))
+    b = Sink(zp("/z/b"), SimRuntime(sim, network))
     return sim, network, a, b
 
 
@@ -102,8 +103,8 @@ class TestLoss:
     def test_loss_drops_roughly_at_rate(self):
         sim = Simulation(seed=3)
         network = Network(sim, latency=FixedLatency(0.01), loss_rate=0.3)
-        a = Sink(zp("/z/a"), sim, network)
-        b = Sink(zp("/z/b"), sim, network)
+        a = Sink(zp("/z/a"), SimRuntime(sim, network))
+        b = Sink(zp("/z/b"), SimRuntime(sim, network))
         for _ in range(1000):
             a.send(b.node_id, "x")
         sim.run()

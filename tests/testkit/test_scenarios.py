@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.core.identifiers import ZonePath
+from repro.runtime.sim import SimRuntime
 from repro.sim.engine import Simulation
 from repro.sim.failures import (
     FAILURE_KINDS,
@@ -73,7 +74,8 @@ class TestFailureSchedule:
         network = Network(sim, latency=FixedLatency(0.01))
         injector = FailureInjector(sim, network)
         processes = [
-            Process(ZonePath.parse(f"/z/n{i}"), sim, network) for i in range(4)
+            Process(ZonePath.parse(f"/z/n{i}"), SimRuntime(sim, network))
+            for i in range(4)
         ]
         self._schedule().apply(injector, processes)
         sim.run_until(6.0)
