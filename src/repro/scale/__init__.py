@@ -12,9 +12,6 @@ the columnar alternative (docs/SCALE.md):
 * :mod:`repro.scale.batched` — batched gossip rounds: ONE kernel event
   processes an entire population round (heartbeat refresh, expiry,
   staged aggregate propagation, root-replica anti-entropy);
-* :mod:`repro.scale.mesoscale` — opt-in hot/cold tier that freezes
-  idle leaf zones into analytic summary rows while active zones stay
-  fully simulated;
 * :mod:`repro.scale.backend` — the :class:`ColumnarNewsWire` system
   facade experiments drive through ``SystemSpec(backend="columnar")``.
 
@@ -33,13 +30,11 @@ from repro.scale.backend import (
 )
 from repro.scale.batched import BatchedGossip
 from repro.scale.columns import MembershipColumns
-from repro.scale.mesoscale import MesoscaleTier
 
 __all__ = [
     "BatchedGossip",
     "ColumnarNewsWire",
     "MembershipColumns",
-    "MesoscaleTier",
     "build_columnar",
     "build_columnar_system",
     "canonical_digest",

@@ -49,7 +49,6 @@ from repro.pubsub.schemes import BloomScheme
 from repro.pubsub.subscription import Subscription
 from repro.scale.batched import BatchedGossip
 from repro.scale.columns import MembershipColumns
-from repro.scale.mesoscale import MesoscaleTier
 from repro.sim.engine import Simulation
 from repro.sim.network import HierarchicalLatency
 from repro.sim.rng import derive_rng
@@ -396,8 +395,6 @@ def build_columnar(
     seed: int = 0,
     sinks: Optional[Sequence[TraceSink]] = None,
     metrics: Optional[MetricsRegistry] = None,
-    mesoscale: bool = False,
-    mesoscale_cool_rounds: int = 5,
     start: bool = True,
 ) -> ColumnarNewsWire:
     """Stand up a columnar NewsWire population.
@@ -408,8 +405,6 @@ def build_columnar(
     ``subscriptions_for(index)`` seeds each node's interests before
     the time-zero aggregate build.  ``publisher_rate`` is accepted for
     interface parity but unenforced (no flow-control model here).
-    ``mesoscale=True`` enables the cold-zone tier
-    (:mod:`repro.scale.mesoscale`).
     """
     config = (config or NewsWireConfig()).validate()
     if num_nodes <= 0:
@@ -426,10 +421,7 @@ def build_columnar(
         config.branching_factor,
         representatives=config.multicast.representatives,
     )
-    tier = MesoscaleTier(
-        columns, enabled=mesoscale, cool_rounds=mesoscale_cool_rounds
-    )
-    gossip = BatchedGossip(sim, columns, config, tier)
+    gossip = BatchedGossip(sim, columns, config)
     system = ColumnarNewsWire(columns, sim, trace, scheme, config, gossip, seed)
 
     if subscriptions_for is not None:
@@ -474,7 +466,6 @@ def build_columnar_system(spec) -> Tuple[ColumnarNewsWire, InterestModel]:
         seed=spec.seed,
         sinks=spec.sinks,
         metrics=spec.metrics,
-        mesoscale=bool(getattr(spec, "mesoscale", False)),
     )
     return system, interests
 
