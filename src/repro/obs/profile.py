@@ -7,7 +7,7 @@ event callback with ``perf_counter`` and hands the profiler
 that cost two ways:
 
 * **per category** — gossip / pubsub / multicast / queues / network /
-  other, resolved from the handler's defining module, so a quick glance
+  scale / other, resolved from the handler's defining module, so a quick glance
   answers "is E4 overload spending its time in queue drains or in
   gossip rounds?";
 * **per handler** — qualified name, for the top-N hot-handler table.
@@ -48,6 +48,7 @@ CATEGORY_PREFIXES: Tuple[Tuple[str, str], ...] = (
     ("repro.news", "pubsub"),
     ("repro.sim.network", "network"),
     ("repro.runtime", "network"),
+    ("repro.scale", "scale"),
 )
 
 CATEGORIES: Tuple[str, ...] = (
@@ -56,6 +57,7 @@ CATEGORIES: Tuple[str, ...] = (
     "multicast",
     "queues",
     "network",
+    "scale",
     "other",
 )
 

@@ -9,6 +9,9 @@ from repro.obs.profile import (
     format_profile_report,
     profile_simulations,
 )
+from repro.experiments.e2_latency import run_e2
+from repro.scale.backend import ColumnarNewsWire
+from repro.scale.batched import BatchedGossip
 from repro.sim.engine import Simulation
 
 
@@ -39,6 +42,8 @@ class TestCategorize:
             category, name = categorize(_make_handler(module))
             assert category == expected, module
             assert name.startswith(module)
+        for handler in (BatchedGossip.run_round, ColumnarNewsWire._deliver):
+            assert categorize(handler)[0] == "scale"
 
     def test_unwraps_functools_partial(self):
         handler = _make_handler("repro.gossip.protocol")
@@ -138,6 +143,18 @@ class TestProfileSimulations:
         assert fired
         assert profiler.events >= len(fired)
         assert sum(profiler.category_seconds().values()) == profiler.total_s
+
+    def test_columnar_handlers_are_billed_to_scale(self):
+        with profile_simulations() as profiler:
+            run_e2(sizes=(100,), items=2, backend="columnar")
+        assert profiler.by_category["scale"][1] > 0
+        assert "scale" in profiler.summary()["categories"]
+        billed = {name: entry[3] for name, entry in profiler.by_handler.items()}
+        for handler in (
+            "repro.scale.batched.BatchedGossip.run_round",
+            "repro.scale.backend.ColumnarNewsWire._deliver",
+        ):
+            assert billed[handler] == "scale"
 
     def test_detaches_outside_the_block(self):
         with profile_simulations() as profiler:
