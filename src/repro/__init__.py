@@ -25,7 +25,7 @@ Package map
   the simulator (:class:`SimRuntime`) or live asyncio UDP sockets
   (:class:`AsyncioUdpRuntime`); see ``docs/RUNTIME.md``.
 * :mod:`repro.sim` — deterministic discrete-event simulation substrate.
-* :mod:`repro.gossip` — peer sampling, anti-entropy, rumor buffers.
+* :mod:`repro.gossip` — anti-entropy, rumor buffers.
 * :mod:`repro.astrolabe` — hierarchical gossip-based aggregation
   (zones, MIB rows, AQL mobile code, certificates, management console).
 * :mod:`repro.multicast` — zone-recursive application-level multicast.

@@ -1,14 +1,11 @@
-"""Epidemic building blocks: peer sampling, anti-entropy, rumors."""
+"""Epidemic building blocks: anti-entropy, rumors."""
 
 from repro.gossip.antientropy import Entry, Version, VersionedStore
 from repro.gossip.epidemic import RumorBuffer
-from repro.gossip.peersampling import ShuffleSelector, UniformSelector
 
 __all__ = [
     "Entry",
     "RumorBuffer",
-    "ShuffleSelector",
-    "UniformSelector",
     "Version",
     "VersionedStore",
 ]
