@@ -6,6 +6,9 @@ fails when a refactor renames something without updating the exports.
 """
 
 import importlib
+import importlib.util
+import re
+from pathlib import Path
 
 import pytest
 
@@ -63,3 +66,67 @@ def test_key_cross_package_types_are_shared():
     from repro.core.identifiers import ZonePath as b
 
     assert a is b
+
+
+# -- tooling references ------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOLING_FILES = [
+    ROOT / "Makefile",
+    ROOT / ".github" / "workflows" / "ci.yml",
+    ROOT / "README.md",
+    ROOT / "EXPERIMENTS.md",
+    ROOT / "DESIGN.md",
+    ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+    *sorted((ROOT / "docs").glob("*.md")),
+]
+#: Where the documented commands write; these exist only after a run.
+OUTPUT_DIRS = {"artifacts", "out", "profile", "fuzz-repros", "runs", "traces"}
+SOURCE_DIRS = ("src", "tests", "bench", "docs", "examples")
+
+MODULE_REF = re.compile(r"-m\s+(repro(?:\.[A-Za-z_]\w*)*)")
+FILE_REF = re.compile(
+    r"(?<![\w./<>{}$-])((?:[\w.-]+/)*[\w.-]+\.(?:py|md|json|yml|toml))\b(?![\w<{])"
+)
+DIR_REF = re.compile(r"(?:(?<=[\s`'\"])|^)((?:[\w.-]+/)+)(?=[\s`'\",;:)]|$)", re.M)
+#: `make X` in backticks, at the start of a line, or with a hyphenated
+#: X; prose such as "make every" is none of these.
+MAKE_REF = re.compile(r"(?:`|^\s*)make ([a-z][\w-]*)|\bmake ([a-z]\w*-[\w-]+)", re.M)
+
+
+def _path_resolves(reference: str, ignored: set) -> bool:
+    if reference.split("/")[0] in OUTPUT_DIRS or reference in ignored:
+        return True
+    if (ROOT / reference).exists() or (ROOT / "src" / reference).exists():
+        return True
+    # A bare file name: any source file may carry it.
+    return "/" not in reference and any(
+        next((ROOT / top).rglob(reference), None) for top in SOURCE_DIRS
+    )
+
+
+@pytest.mark.parametrize(
+    "path", TOOLING_FILES, ids=lambda p: str(p.relative_to(ROOT))
+)
+def test_tooling_references_resolve(path):
+    """Modules, paths and make targets named by the Makefile, CI and
+    docs exist — a deletion that leaves a reference behind fails here."""
+    text = path.read_text(encoding="utf-8")
+    ignored = set((ROOT / ".gitignore").read_text(encoding="utf-8").split())
+    targets = set(
+        re.findall(r"^([\w-]+):", (ROOT / "Makefile").read_text(encoding="utf-8"), re.M)
+    )
+    dangling = [
+        f"python -m {module}"
+        for module in MODULE_REF.findall(text)
+        if importlib.util.find_spec(module) is None
+    ]
+    dangling += [
+        reference
+        for reference in FILE_REF.findall(text) + DIR_REF.findall(text)
+        if not _path_resolves(reference, ignored)
+    ]
+    dangling += [
+        f"make {a or b}" for a, b in MAKE_REF.findall(text) if (a or b) not in targets
+    ]
+    assert not dangling, f"{path.name} names things that do not exist: {dangling}"
