@@ -53,23 +53,25 @@ class TestE1PullRedundancy:
 
 
 E2_INPUTS = [
-    pytest.param({"sizes": (60, 240), "items": 3}, 4, id="small"),
-    # 20x the nodes: log growth, not 20x.
-    full({"sizes": (100, 500, 2000), "items": 5}, 10),
+    pytest.param({"sizes": (60, 240), "items": 3}, id="small"),
+    full({"sizes": (100, 500, 2000), "items": 5}),
 ]
 
 
 class TestE2LatencyScaling:
-    @pytest.mark.parametrize("kwargs, p99_growth", E2_INPUTS)
-    def test_full_delivery_within_tens_of_seconds(self, kwargs, p99_growth):
+    @pytest.mark.parametrize("kwargs", E2_INPUTS)
+    def test_full_delivery_within_tens_of_seconds(self, kwargs):
         for row in run_once(run_e2, **kwargs).rows:
             assert row.ratio == 1.0, f"lost deliveries at N={row.num_nodes}"
             assert row.latency.maximum < 30.0  # "tens of seconds"
 
-    @pytest.mark.parametrize("kwargs, p99_growth", E2_INPUTS)
-    def test_latency_grows_sublinearly(self, kwargs, p99_growth):
+    @pytest.mark.parametrize("kwargs", E2_INPUTS)
+    def test_latency_grows_sublinearly(self, kwargs):
         rows = run_once(run_e2, **kwargs).rows
-        assert rows[-1].latency.p99 < rows[0].latency.p99 * p99_growth
+        small, large = rows[0], rows[-1]
+        # Log growth: under half the growth in nodes (10x over 20x the nodes).
+        nodes_growth = large.num_nodes / small.num_nodes
+        assert large.latency.p99 / small.latency.p99 < nodes_growth / 2
 
 
 class TestE3PublisherLoad:

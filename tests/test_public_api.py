@@ -91,11 +91,15 @@ FILE_REF = re.compile(
 DIR_REF = re.compile(r"(?:(?<=[\s`'\"])|^)((?:[\w.-]+/)+)(?=[\s`'\",;:)]|$)", re.M)
 #: `make X` in backticks, at the start of a line, or with a hyphenated
 #: X; prose such as "make every" is none of these.
-MAKE_REF = re.compile(r"(?:`|^\s*)make ([a-z][\w-]*)|\bmake ([a-z]\w*-[\w-]+)", re.M)
+MAKE_REF = re.compile(r"(?:`|^\s*|\b(?=make \w+-))make ([a-z][\w-]*)", re.M)
+MAKE_TARGETS = set(
+    re.findall(r"^([\w-]+):", (ROOT / "Makefile").read_text(encoding="utf-8"), re.M)
+)
+GITIGNORED = set((ROOT / ".gitignore").read_text(encoding="utf-8").split())
 
 
-def _path_resolves(reference: str, ignored: set) -> bool:
-    if reference.split("/")[0] in OUTPUT_DIRS or reference in ignored:
+def _path_resolves(reference: str) -> bool:
+    if reference.split("/")[0] in OUTPUT_DIRS or reference in GITIGNORED:
         return True
     if (ROOT / reference).exists() or (ROOT / "src" / reference).exists():
         return True
@@ -112,10 +116,6 @@ def test_tooling_references_resolve(path):
     """Modules, paths and make targets named by the Makefile, CI and
     docs exist — a deletion that leaves a reference behind fails here."""
     text = path.read_text(encoding="utf-8")
-    ignored = set((ROOT / ".gitignore").read_text(encoding="utf-8").split())
-    targets = set(
-        re.findall(r"^([\w-]+):", (ROOT / "Makefile").read_text(encoding="utf-8"), re.M)
-    )
     dangling = [
         f"python -m {module}"
         for module in MODULE_REF.findall(text)
@@ -124,9 +124,11 @@ def test_tooling_references_resolve(path):
     dangling += [
         reference
         for reference in FILE_REF.findall(text) + DIR_REF.findall(text)
-        if not _path_resolves(reference, ignored)
+        if not _path_resolves(reference)
     ]
     dangling += [
-        f"make {a or b}" for a, b in MAKE_REF.findall(text) if (a or b) not in targets
+        f"make {target}"
+        for target in MAKE_REF.findall(text)
+        if target not in MAKE_TARGETS
     ]
     assert not dangling, f"{path.name} names things that do not exist: {dangling}"
