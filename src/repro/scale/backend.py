@@ -269,12 +269,14 @@ class ColumnarNewsWire:
         )
         created = self._sim.now
         deliveries = self._walk(subject, name, node_index)
+        # One bound method for the whole batch: a fresh one per entry
+        # stays in the event heap, for every garbage collection to
+        # walk, until its delivery fires.
+        deliver = self._deliver
         entries = []
         for time, index, hop in deliveries:
             sender = "" if index == node_index else publisher_node
-            entries.append(
-                (time, self._deliver, (item, index, created, sender, hop))
-            )
+            entries.append((time, deliver, (item, index, created, sender, hop)))
         self._sim.call_at_batch(entries)
         return {"item": item, "subject": subject, "publisher": name}
 

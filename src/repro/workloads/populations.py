@@ -53,6 +53,12 @@ class InterestModel:
         self._subject_list = list(self.subjects)
         self._cum_weights = list(accumulate(self._weights))
         self._assignments: Dict[int, tuple[Subscription, ...]] = {}
+        # Predicate-free interest sets, one shared tuple per distinct
+        # subject order: subscriptions are immutable, and 10^5 nodes
+        # draw from at most P(subjects, count) of them, where one
+        # Subscription per node per subject is 4 x 10^5 long-lived
+        # objects for every full garbage collection to walk.
+        self._shared: Dict[tuple[str, ...], tuple[Subscription, ...]] = {}
         self._substreams: list[int] = []
 
     def prepare(self, num_nodes: int) -> None:
@@ -91,13 +97,19 @@ class InterestModel:
             )[0]
             if subject not in picked:
                 picked.append(subject)
-        subscriptions = []
-        for subject in picked:
-            predicate = None
-            if rng.random() < self.predicate_probability:
-                predicate = f"urgency <= {rng.randint(4, 7)}"
-            subscriptions.append(Subscription(subject, predicate))
-        result = tuple(subscriptions)
+        predicates = [
+            f"urgency <= {rng.randint(4, 7)}"
+            if rng.random() < self.predicate_probability
+            else None
+            for _ in picked
+        ]
+        if any(predicates):
+            result = tuple(map(Subscription, picked, predicates))
+        else:
+            key = tuple(picked)
+            result = self._shared.get(key)
+            if result is None:
+                result = self._shared[key] = tuple(map(Subscription, picked))
         self._assignments[index] = result
         return result
 

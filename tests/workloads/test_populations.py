@@ -67,6 +67,21 @@ class TestInterestModel:
         subs = model.subscriptions_for(0)
         assert all(s.predicate_source is not None for s in subs)
 
+    def test_predicate_free_interest_sets_are_shared(self):
+        model = InterestModel(SUBJECTS[:3], subscriptions_per_node=2, seed=1)
+        drawn = [model.subscriptions_for(index) for index in range(200)]
+        # Equal draws are one object, so a population holds at most
+        # P(3, 2) = 6 tuples however many nodes it has.
+        assert len({id(subs) for subs in drawn}) == len(set(drawn)) <= 6
+        mixed = InterestModel(SUBJECTS[:3], subscriptions_per_node=2,
+                              predicate_probability=0.5, seed=1)
+        sources = {
+            s.predicate_source
+            for index in range(200)
+            for s in mixed.subscriptions_for(index)
+        }
+        assert None in sources and len(sources) > 1
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             InterestModel([], subscriptions_per_node=1)
