@@ -19,7 +19,8 @@ enabling metrics can never perturb a fixed-seed run.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, Optional, Sequence, Union
+from bisect import bisect_left
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Union
 
 from repro.core.errors import ConfigurationError
 
@@ -114,14 +115,23 @@ class HistogramData:
             self.minimum = value
         if value > self.maximum:
             self.maximum = value
-        lo, hi = 0, len(self.bounds)
-        while lo < hi:  # bisect over the (tiny) bounds tuple
-            mid = (lo + hi) // 2
-            if value <= self.bounds[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        self.counts[lo] += 1
+        self.counts[bisect_left(self.bounds, value)] += 1
+
+    def observe_many(self, values: Iterable[float]) -> None:
+        """``observe`` each value in order (so ``total`` sums identically)."""
+        bounds, counts = self.bounds, self.counts
+        count, total = self.count, self.total
+        minimum, maximum = self.minimum, self.maximum
+        for value in values:
+            count += 1
+            total += value
+            if value < minimum:
+                minimum = value
+            if value > maximum:
+                maximum = value
+            counts[bisect_left(bounds, value)] += 1
+        self.count, self.total = count, total
+        self.minimum, self.maximum = minimum, maximum
 
     def merge(self, other: "HistogramData") -> None:
         """Fold another histogram's buckets in (same bounds required)."""

@@ -14,6 +14,11 @@ sink.  Three sinks cover the use cases:
 Sinks receive ``(time, kind, fields)`` and must not raise, block, or
 touch any simulation random stream — a sink that perturbed RNG or
 event order would invalidate every fixed-seed fingerprint.
+
+A sink may also define ``emit_many(kind, events)`` to take a batch from
+:meth:`~repro.sim.trace.TraceLog.record_many` in one call; it must
+leave the sink as the same events through ``emit``, in order, would.
+Sinks without it are fed the batch one ``emit`` at a time.
 """
 
 from __future__ import annotations
@@ -21,9 +26,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, IO, Mapping, Optional, Protocol, Sequence, Union
+from typing import Any, Dict, IO, Mapping, Optional, Protocol, Sequence, Tuple, Union
 
 from repro.obs.metrics import DEFAULT_BUCKETS, HistogramData
+
+#: What ``emit_many`` takes: same-kind ``(time, fields)`` pairs in order.
+TraceBatch = Sequence[Tuple[float, Mapping[str, Any]]]
 
 
 @dataclass(frozen=True)
@@ -79,6 +87,11 @@ class MemorySink:
 
     def emit(self, time: float, kind: str, fields: Mapping[str, Any]) -> None:
         self.events.append(TraceEvent(time, kind, tuple(fields.items())))
+
+    def emit_many(self, kind: str, events: TraceBatch) -> None:
+        self.events.extend(
+            TraceEvent(time, kind, tuple(fields.items())) for time, fields in events
+        )
 
     @property
     def retained_events(self) -> int:
@@ -157,6 +170,33 @@ class StreamingSink:
                 self.forwards_per_target[target] = (
                     self.forwards_per_target.get(target, 0) + 1
                 )
+
+    def emit_many(self, kind: str, events: TraceBatch) -> None:
+        """``emit`` for a same-kind batch: the per-kind bookkeeping once,
+        the per-event bumps in event order (float sums stay bit-equal)."""
+        if not events or kind != self.latency_kind:
+            for time, fields in events:
+                self.emit(time, kind, fields)
+            return
+        self.events_seen += len(events)
+        if self.first_time is None:
+            self.first_time = events[0][0]
+        self.last_time = events[-1][0]
+        self.counts[kind] = self.counts.get(kind, 0) + len(events)
+        per_item = self.deliveries_per_item
+        per_node = self.deliveries_per_node
+        latencies = []
+        for _, fields in events:
+            latency = fields.get("latency")
+            if latency is not None:
+                latencies.append(latency)
+            item = fields.get("item")
+            if item is not None:
+                per_item[item] = per_item.get(item, 0) + 1
+            node = fields.get("node")
+            if node is not None:
+                per_node[node] = per_node.get(node, 0) + 1
+        self.latency.observe_many(latencies)
 
     @property
     def retained_events(self) -> int:

@@ -14,9 +14,13 @@ top-level fan-out, canonical aggregates gate deeper levels, and the
 exact interned-subject match selects leaf subscribers — accumulating
 each delivery's arrival time from the same per-hop ingredients the
 object backend pays (forwarding delay, send-rate pacing, zone-distance
-latency bands).  All deliveries are then scheduled in one
-:meth:`~repro.sim.engine.Simulation.call_at_batch` call; the events
-that fire emit ordinary ``deliver`` trace records, so sinks, metric
+latency bands).  The walk's rows go to the kernel in one
+:meth:`~repro.sim.engine.Simulation.call_at_batch` call and wait in
+the system's single bulk lane — one heap entry, however many deliveries
+are in flight.  The kernel hands :meth:`ColumnarNewsWire._deliver` runs
+of due rows; it drops the copies whose node crashed in flight and
+records the rest as ordinary ``deliver`` events in one
+:meth:`~repro.sim.trace.TraceLog.record_many`, so sinks, metric
 collectors and the invariant suite see a normal run.
 
 Equivalence contract (pinned in ``tests/scale/test_equivalence.py``):
@@ -257,56 +261,51 @@ class ColumnarNewsWire:
     def _publish(
         self, name: str, node_index: int, serial: int, subject: str
     ) -> Dict[str, object]:
-        columns = self.columns
         item = f"{name}:{serial}.r0"
-        publisher_node = columns.node_path(node_index)
         self._trace.record(
             "publish",
-            node=publisher_node,
+            node=self.columns.node_path(node_index),
             subject=subject,
             item=item,
             scope="/",
         )
-        created = self._sim.now
-        deliveries = self._walk(subject, name, node_index)
-        # One bound method for the whole batch: a fresh one per entry
-        # stays in the event heap, for every garbage collection to
-        # walk, until its delivery fires.
-        deliver = self._deliver
-        entries = []
-        for time, index, hop in deliveries:
-            sender = "" if index == node_index else publisher_node
-            entries.append((time, deliver, (item, index, created, sender, hop)))
-        self._sim.call_at_batch(entries)
+        # One bound method for every publish's rows: the kernel keeps a
+        # single lane, and a single heap entry, per callback.
+        self._sim.call_at_batch(
+            self._deliver, self._walk(subject, name, node_index, item)
+        )
         return {"item": item, "subject": subject, "publisher": name}
 
-    def _deliver(
-        self, item: str, index: int, created: float, sender: str, hop: int
-    ) -> None:
+    def _deliver(self, rows: List[tuple]) -> None:
+        """Lane handler: consecutive due rows, no other event between
+        them.  ``sim.now`` is the last row's time, so each delivery is
+        stamped with its own."""
         columns = self.columns
-        if not columns.alive[index] or not columns.member[index]:
-            return  # crashed while the copy was in flight
-        self._trace.record(
+        alive, member, node_path = columns.alive, columns.member, columns.node_path
+        self._trace.record_many(
             "deliver",
-            node=columns.node_path(index),
-            item=item,
-            latency=self._sim.now - created,
-            sender=sender,
-            hop=hop,
-            via="tree",
+            [
+                (time, {"node": node_path(index), "item": item, "latency": time - created,
+                        "sender": sender, "hop": hop, "via": "tree"})
+                for time, item, index, created, sender, hop in rows
+                if alive[index] and member[index]  # else: crashed with the copy in flight
+            ],
         )
 
     def _walk(
-        self, subject: str, publisher_name: str, publisher_index: int
-    ) -> List[Tuple[float, int, int]]:
-        """Analytic dissemination: ``(arrival_time, node, hop)`` per
-        delivery, one tree descent, each leaf zone visited at most once.
+        self, subject: str, publisher_name: str, publisher_index: int, item: str
+    ) -> List[tuple]:
+        """Analytic dissemination: one ``(arrival_time, item, node,
+        created, sender, hop)`` row per delivery — the shape
+        :meth:`_deliver` takes — from one tree descent, each leaf zone
+        visited at most once.
         """
         columns = self.columns
         scheme = self.scheme
         hints = scheme.hints_for(subject, publisher_name)
         sid = self._subject_ids.get(subject)
         now = self._sim.now
+        publisher_node = columns.node_path(publisher_index)
         self._walk_serial += 1
         rng = derive_rng(self.seed, _LATENCY_STREAM, self._walk_serial)
         forwarding_delay = self.config.multicast.forwarding_delay
@@ -316,7 +315,7 @@ class ColumnarNewsWire:
         alive = columns.alive
         member = columns.member
         subjects = columns.subjects
-        out: List[Tuple[float, int, int]] = []
+        out: List[tuple] = []
 
         def band_draw(depth: int) -> float:
             # Fanning across children of a depth-`depth` zone: their
@@ -335,7 +334,9 @@ class ColumnarNewsWire:
                 if sid not in subjects[index]:
                     continue
                 if index == carrier:
-                    out.append((time, index, hop))
+                    # Only a carrier can be the publisher itself.
+                    sender = "" if index == publisher_index else publisher_node
+                    out.append((time, item, index, now, sender, hop))
                 else:
                     pacing += 1
                     out.append(
@@ -344,7 +345,10 @@ class ColumnarNewsWire:
                             + forwarding_delay
                             + pacing * send_gap
                             + band_draw(levels - 1),
+                            item,
                             index,
+                            now,
+                            publisher_node,
                             hop + 1,
                         )
                     )
@@ -380,6 +384,10 @@ class ColumnarNewsWire:
                 descend(depth + 1, child, next_carrier, arrival, hop + 1)
 
         descend(0, 0, publisher_index, now, 0)
+        # descend's closure holds descend, a cycle that would pin the
+        # helpers — and `out`, which they close over — until a full
+        # collection; unbound, they die by reference count.
+        descend = None
         return out
 
 

@@ -14,6 +14,11 @@ Determinism guarantees:
 
 Together these make every experiment a pure function of its seed.
 
+:meth:`Simulation.call_at_batch` rows do not cost a heap entry each: a
+callback's pending rows wait in one time-sorted *lane* with only its
+head row in the heap, and fire in the same ``(time, seq)`` order
+(``docs/SIMULATOR.md``, "Bulk lanes").
+
 Cancellation is lazy (a cancelled handle stays in the heap until its
 time comes) but bounded: the simulation counts dead handles and
 compacts the heap when they outnumber live ones, so churn-heavy runs —
@@ -28,9 +33,10 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from bisect import bisect_left
 from contextlib import contextmanager
 from time import perf_counter
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.core.errors import SimulationError
 from repro.sim.rng import RngRegistry
@@ -43,6 +49,13 @@ _COMPACT_MIN_DEAD = 64
 # per simulated event, where even a LOAD_ATTR shows up in profiles.
 _heappush = heapq.heappush
 _isfinite = math.isfinite
+_INF = math.inf
+
+#: Most rows one lane dispatch hands its callback.  A handler holds what
+#: it builds per row until it returns, so an uncapped run (67k rows at
+#: 100k nodes) shows as peak RSS; at 256 the per-dispatch cost is
+#: already under 1 % of the rows' own.
+_LANE_RUN_CAP = 256
 
 #: Factories applied to every newly constructed :class:`Simulation`
 #: (see :func:`monitored_simulations`).  Each is called with the new
@@ -139,6 +152,11 @@ class Simulation:
         self._heap: list[tuple[float, int, EventHandle]] = []
         self._dead = 0  # cancelled handles still sitting in the heap
         self._events_processed = 0
+        #: Bulk lanes by callback, their pending rows beyond the heap
+        #: entries they hold, and where the current run call stops.
+        self._lanes: dict = {}
+        self._lane_extra = 0
+        self._bound = -_INF
         self.rngs = RngRegistry(seed)
         self.seed = seed
         #: Dispatch monitors (profiler, time-series sampler) — pure
@@ -186,8 +204,8 @@ class Simulation:
 
     @property
     def pending_events(self) -> int:
-        """Live (uncancelled, unfired) events — O(1)."""
-        return len(self._heap) - self._dead
+        """Live (uncancelled, unfired) events, lane rows included — O(1)."""
+        return len(self._heap) - self._dead + self._lane_extra
 
     def rng(self, name: str) -> random.Random:
         """The named deterministic random stream."""
@@ -245,38 +263,34 @@ class Simulation:
         _heappush(self._heap, (time, seq, handle))
         return handle
 
-    def call_at_batch(
-        self,
-        entries: Iterable[tuple[float, Callable[..., None], tuple]],
-    ) -> int:
-        """Schedule many ``(time, callback, args)`` events in one call.
+    def call_at_batch(self, callback: Callable[[list], None], rows: Sequence[tuple]) -> int:
+        """Schedule ``rows`` — tuples led by their fire time — for ``callback``.
 
-        The bulk entry point for the columnar scale backend: a batched
-        dissemination step computes thousands of future delivery times
-        at once, and pushing them through :meth:`call_at` would pay the
-        validation and handle-construction overhead per event *plus* a
-        Python call each.  Entries are validated like :meth:`call_at`
-        (finite, not in the past).  Returns the number scheduled.
-
-        Bulk events are fire-only — no handles are returned, so they
-        cannot be individually cancelled.  Callers that need
-        cancellation want :meth:`call_at`.
+        The bulk entry point for the columnar scale backend, whose
+        dissemination step computes thousands of delivery times at once.
+        Rows fire in the total order :meth:`call_at` would give them
+        (row *i* takes sequence number ``base + i``), but ``callback``
+        gets a **list** of consecutive due rows (see :class:`_Lane`)
+        with :attr:`now` at the last one's time, so it reads each row's
+        own.  All rows are validated like :meth:`call_at` before any is
+        scheduled: a bad one raises and leaves the simulation untouched.
+        Fire-only — no handles, no cancellation.  Returns the number
+        scheduled.
         """
-        heap = self._heap
-        seq = self._seq
         now = self._now
-        count = 0
-        for time, callback, args in entries:
-            if not _isfinite(time) or time < now:
-                self._seq = seq
-                raise SimulationError(
-                    f"cannot schedule event at t={time} (now={now})"
-                )
-            _heappush(heap, (time, seq, EventHandle(time, seq, callback, args, self)))
-            seq += 1
-            count += 1
-        self._seq = seq
-        return count
+        times = [row[0] for row in rows]
+        if not times:
+            return 0
+        if not all(map(_isfinite, times)) or min(times) < now:
+            bad = next(t for t in times if not _isfinite(t) or t < now)
+            raise SimulationError(f"cannot schedule event at t={bad} (now={now})")
+        lane = self._lanes.get(callback)
+        if lane is None:
+            lane = self._lanes[callback] = _Lane(self, callback)
+        seq = self._seq
+        self._seq = seq + len(times)
+        lane.add(list(zip(times, range(seq, self._seq), rows)))
+        return len(times)
 
     def call_every(
         self,
@@ -300,6 +314,7 @@ class Simulation:
 
     def step(self) -> bool:
         """Process the single next event.  Returns False when idle."""
+        self._bound = -_INF  # a lane fires its head row only
         heap = self._heap
         monitors = self._monitors
         while heap:
@@ -335,6 +350,7 @@ class Simulation:
         """Run all events with timestamps <= ``time``; clock ends at ``time``."""
         if time < self._now:
             raise SimulationError(f"cannot run backwards to t={time}")
+        self._bound = time
         # Inline pop (single heap operation per event, no re-peek via
         # step()) — this loop is the hottest few lines in the repo.
         # Monitors are hoisted once per call: attaching one mid-run
@@ -381,6 +397,86 @@ class Simulation:
             f"Simulation(now={self._now:.3f}, pending={self.pending_events}, "
             f"processed={self._events_processed})"
         )
+
+
+class _Lane:
+    """One callback's pending bulk rows behind (almost always) one heap entry.
+
+    ``_entries[_head:]`` are ``(time, seq, row)``, ascending, so sorting
+    and bisection compare in C as the heap does.  The head row is
+    *armed*: an ordinary :class:`EventHandle` keyed by its ``(time,
+    seq)`` and bound to :meth:`_fire` sits in the heap.  A batch that
+    brings an earlier head arms it too and leaves the overtaken entry
+    alone (a cancelled twin would tie with its row's next arming, and
+    heap keys are unique); it bounds runs like any heap event, so it is
+    there when its row heads the lane again.  ``_armed`` stacks the
+    armed rows' seqs, the head's last.  ``callback`` is public, as on
+    :class:`PeriodicEvent`, for dispatch monitors to see through
+    ``_fire`` to the real handler.
+    """
+
+    __slots__ = ("_sim", "callback", "_entries", "_head", "_armed")
+
+    def __init__(self, sim: Simulation, callback: Callable[[list], None]):
+        self._sim = sim
+        self.callback = callback
+        self._entries: list[tuple[float, int, tuple]] = []
+        self._head = 0
+        self._armed: list[int] = []
+
+    def add(self, entries: list) -> None:
+        """Merge validated ``(time, seq, row)`` entries in."""
+        pending = self._entries
+        del pending[: self._head]
+        self._head = 0
+        pending += entries
+        pending.sort()  # a sorted run plus a batch: Timsort merges, no full re-sort
+        self._sim._lane_extra += len(entries)
+        self._arm()
+
+    def _arm(self) -> None:
+        """Give the head row its heap entry, unless it holds one."""
+        time, seq, _ = self._entries[self._head]
+        armed = self._armed
+        if armed and armed[-1] == seq:
+            return
+        armed.append(seq)
+        sim = self._sim
+        _heappush(sim._heap, (time, seq, EventHandle(time, seq, self._fire, (), sim)))
+        sim._lane_extra -= 1
+
+    def _fire(self) -> None:
+        """Hand ``callback`` the head row and every row due before anything else."""
+        self._armed.pop()  # the entry that just fired was the head row's
+        sim = self._sim
+        heap = sim._heap
+        while heap and heap[0][2].cancelled:  # the next *live* heap event
+            heapq.heappop(heap)
+            sim._dead -= 1
+        limit = (sim._bound, _INF)
+        if heap and heap[0] < limit:
+            limit = heap[0][:2]
+        entries = self._entries
+        head = self._head
+        # The head row is due, so a run is never empty: search after it.
+        end = bisect_left(entries, limit, head + 1, min(head + _LANE_RUN_CAP, len(entries)))
+        rows = [entry[2] for entry in entries[head:end]]
+        sim._now = entries[end - 1][0]
+        sim._events_processed += end - head - 1  # the kernel counted the head row
+        sim._lane_extra += 1 + head - end
+        # Drop the fired prefix once it outweighs what is pending: O(1)
+        # amortised per row, and fired rows are not pinned for long.
+        if end * 2 >= len(entries):
+            del entries[:end]
+            end = 0
+        self._head = end
+        try:
+            self.callback(rows)
+        finally:
+            if self._head < len(self._entries):
+                self._arm()
+            else:
+                del sim._lanes[self.callback]
 
 
 class PeriodicEvent:

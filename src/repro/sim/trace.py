@@ -14,22 +14,30 @@ The log also owns the deployment's
 :class:`~repro.obs.metrics.MetricsRegistry`, so every layer holding a
 trace reference can register counters without extra plumbing.
 
-Recording stays cheap (a counter bump plus one ``emit`` per sink) and
-can be restricted to the event kinds an experiment cares about; sinks
-never touch simulation RNG or the event queue, so attaching them
-cannot perturb a fixed-seed run.
+Recording stays cheap (a counter bump plus one ``emit`` per sink; a
+bulk producer hands :meth:`TraceLog.record_many` a whole batch for one
+``emit_many`` per sink) and can be restricted to the event kinds an
+experiment cares about; sinks never touch simulation RNG or the event
+queue, so attaching them cannot perturb a fixed-seed run.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Optional, Sequence
+from functools import partial
+from typing import Any, Callable, Dict, Iterator, Optional, Sequence
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.sinks import MemorySink, StreamingSink, TraceEvent, TraceSink
+from repro.obs.sinks import MemorySink, StreamingSink, TraceBatch, TraceEvent, TraceSink
 
 __all__ = ["TraceEvent", "TraceLog"]
 
 _EMPTY: tuple = ()
+
+
+def _emit_each(emit: Callable, kind: str, events: TraceBatch) -> None:
+    """``emit_many`` for a sink that only defines ``emit``."""
+    for time, fields in events:
+        emit(time, kind, fields)
 
 
 class TraceLog:
@@ -57,6 +65,10 @@ class TraceLog:
     def _rebind(self) -> None:
         """Cache the per-sink emit methods and the primary memory sink."""
         self._emits = tuple(sink.emit for sink in self._sinks)
+        self._emit_manys = tuple(
+            getattr(sink, "emit_many", None) or partial(_emit_each, sink.emit)
+            for sink in self._sinks
+        )
         self._memory: Optional[MemorySink] = next(
             (s for s in self._sinks if isinstance(s, MemorySink)), None
         )
@@ -109,6 +121,19 @@ class TraceLog:
         time = self.sim.now
         for emit in self._emits:
             emit(time, kind, fields)
+
+    def record_many(self, kind: str, events: TraceBatch) -> None:
+        """Record ``(time, fields)`` events of one kind, in order.  The
+        times are the producer's: a bulk-lane handler's rows fired
+        before ``sim.now`` (``docs/SIMULATOR.md``)."""
+        if not events:
+            return
+        counts = self._counts
+        counts[kind] = counts.get(kind, 0) + len(events)
+        if self.kinds is not None and kind not in self.kinds:
+            return
+        for emit_many in self._emit_manys:
+            emit_many(kind, events)
 
     # -- reading ----------------------------------------------------------
 

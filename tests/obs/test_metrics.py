@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.obs.metrics import (
+    DEFAULT_BUCKETS,
     Counter,
     Gauge,
     Histogram,
@@ -71,6 +72,29 @@ class TestHistogramData:
     def test_empty_bounds_rejected(self):
         with pytest.raises(ConfigurationError):
             HistogramData(())
+
+    @pytest.mark.parametrize("bounds", [DEFAULT_BUCKETS, (1.0,), (0.5, 0.5, 2.0)])
+    def test_bucket_rule_and_observe_many_match_single_observes(self, bounds):
+        """The bucket of ``value`` is the first bound with ``value <=
+        bound`` (the hand-rolled search ``bisect_left`` replaced), and a
+        batch folds exactly like the same observes one by one."""
+        ordered = sorted(bounds)
+        values = [-1.0, 0.0]
+        for bound in ordered:
+            values += [bound - 1e-9, bound, bound + 1e-9]
+        values += [ordered[-1] * 10, 0.1, 0.2, 0.3]  # overflow; an inexact float sum
+        single, batch = HistogramData(bounds), HistogramData(bounds)
+        for value in values:
+            before = list(single.counts)
+            single.observe(value)
+            bucket = next(
+                (i for i, bound in enumerate(ordered) if value <= bound), len(ordered)
+            )
+            before[bucket] += 1
+            assert single.counts == before, value
+        batch.observe_many(values)
+        for name in ("counts", "count", "total", "minimum", "maximum"):
+            assert getattr(batch, name) == getattr(single, name), name
 
     def test_as_dict_is_jsonable(self):
         hist = HistogramData((1.0, 2.0))
