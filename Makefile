@@ -45,13 +45,14 @@ fuzz-routing:
 bench:
 	python3 bench/run.py
 
-# Serial-vs-parallel wall time on the quick sweeps, printed as a table
-# (speedup scales with physical cores; docs/PARALLEL.md).
+# One-worker vs two-worker wall time on the quick sweeps, both through
+# the same run path, printed as a table (speedup scales with physical
+# cores; docs/PARALLEL.md).
 bench-sweep:
 	PYTHONPATH=src $(PYTHON) -m repro.parallel.bench_sweep
 
-# The decomposable sweeps through the process-parallel executor —
-# output is byte-identical to the serial run (docs/PARALLEL.md).
+# The decomposable sweeps with their cells fanned out over two worker
+# processes — output is byte-identical to --workers 1 (docs/PARALLEL.md).
 # Same command as the CI parallel-sweep job.
 sweep:
 	$(PYTHON) -m repro.experiments e2 e5 e7 --quick --workers 2 --check-invariants

@@ -12,6 +12,7 @@ which is what drives ``python -m repro.experiments --list``.
 from repro.experiments.registry import (
     ExperimentConfig,
     ExperimentSpec,
+    RunOptions,
     all_specs,
     experiment_names,
     get_spec,
@@ -33,6 +34,7 @@ from repro.experiments.e12_routing import E12Result, run_e12
 __all__ = [
     "ExperimentConfig",
     "ExperimentSpec",
+    "RunOptions",
     "all_specs",
     "experiment_names",
     "get_spec",

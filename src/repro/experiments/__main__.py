@@ -2,7 +2,7 @@
 
 Usage::
 
-    python -m repro.experiments                  # all of E1–E11 (tens of minutes)
+    python -m repro.experiments                  # all of E1–E12 (tens of minutes)
     python -m repro.experiments e1 e4 e10        # a selection
     python -m repro.experiments --quick          # reduced sizes (a few minutes)
     python -m repro.experiments --list           # what exists, with claims
@@ -14,16 +14,18 @@ per experiment (seed, parameters, git revision, wall time, result
 payload) into ``DIR/<name>.json`` — the per-run provenance artifact.
 
 ``--report`` asks the experiments that support causal tracing (E2,
-E11) to attach a :class:`~repro.obs.causal.CausalSink`: their printed
-report gains critical-path / hop / loss-attribution sections and their
-manifests an ``extra.causal`` summary.  Experiments without the
-capability simply ignore the flag.
+E11, E12) to attach a :class:`~repro.obs.causal.CausalSink`: their
+printed report gains critical-path / hop / loss-attribution sections
+and their manifests an ``extra.causal`` summary.  Like ``--backend``
+and ``--sink`` it maps to one runner parameter; an experiment without
+it runs unchanged under a ``[eN takes no <parameter>; <flag> ignored]``
+note on stderr.
 
-``--workers N`` fans each sweep-shaped experiment (E2, E5, E7, ...)
-out over N worker processes with a deterministic merge: reports,
-manifests and invariant verdicts are byte-identical to the serial run
-(``docs/PARALLEL.md``).  Experiments without a cell decomposition run
-serially with a note on stderr.
+Every run is :func:`repro.parallel.run_spec` — plan cells, run them,
+merge.  ``--workers N`` fans the cells of each sweep-shaped experiment
+(E2, E5, E7, E12) out over N worker processes; reports, manifests and
+invariant verdicts are byte-identical at any worker count
+(``docs/PARALLEL.md``).
 
 Each printed report is also what EXPERIMENTS.md records.
 """
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import sys
 import time
 import traceback
@@ -42,12 +45,12 @@ from repro.core.errors import ConfigurationError
 from repro.experiments.registry import (
     ExperimentConfig,
     ExperimentSpec,
+    RunOptions,
     all_specs,
     experiment_names,
     get_spec,
 )
 from repro.obs.manifest import RunManifest
-from repro.obs.metrics import MetricsRegistry
 
 
 def _list_specs() -> str:
@@ -72,132 +75,38 @@ def _result_payload(result) -> object:
 def _run_one(
     spec: ExperimentSpec,
     config: ExperimentConfig,
+    options: RunOptions,
     json_dir: Optional[Path],
-    check_invariants: bool = False,
-    workers: int = 1,
-    profile: bool = False,
-    profile_memory: bool = False,
-    profile_dir: Optional[Path] = None,
+    profile_dir: Path,
 ) -> tuple[float, list]:
     """Run one experiment, print its report, write its manifest.
 
-    ``workers > 1`` routes cell-decomposable sweeps through the
-    process-parallel executor (:mod:`repro.parallel`); everything the
-    function prints or writes stays byte-identical to the serial path
-    (modulo wall-time/provenance manifest fields).  Returns the wall
-    time and any invariant violations (empty unless
-    ``check_invariants`` attached a suite).
-
-    ``profile`` attaches the flight recorder: an event-kernel profiler
-    (:mod:`repro.obs.profile`) plus — when the experiment takes a
-    metrics registry — a time-series sampler
-    (:mod:`repro.obs.timeseries`).  Both are dispatch monitors that
-    read only wall time, so results, reports and manifest payloads are
-    byte-identical with or without the flag (pinned by
-    ``tests/integration/test_instrumentation_transparency.py``); the
-    profile table is printed after the report and JSON/JSONL artifacts
-    land in ``profile_dir``.  On the serial path one registry spans the
-    whole sweep, so time-series values are cumulative across cells; the
-    parallel path records per-cell series (fresh registry per cell).
+    The run itself — cells, instrumentation, merge — is
+    :func:`repro.parallel.run_spec`'s; everything printed or written
+    here is byte-identical at any ``options.workers`` (modulo
+    wall-time/provenance manifest fields).  Returns the wall time and
+    any invariant violations (empty unless ``options.check_invariants``
+    attached a suite).  With ``options.profile`` the flight recorder's
+    table follows the report and its JSON/JSONL artifacts land in
+    ``profile_dir``.
     """
+    # Deferred: only a run needs the executor (and multiprocessing).
+    from repro.parallel import run_spec
+
     manifest = RunManifest.start(
         experiment=spec.name,
         seed=config.seed,
         quick=config.quick,
         config=spec.build_kwargs(config),
     )
-    # Runners that take a registry share one across their sweeps, so
-    # the manifest can carry the aggregate metric snapshot.  (The
-    # registry is an observer only; injecting it cannot perturb runs.)
-    want_metrics = "metrics" in spec.parameters and "metrics" not in config.overrides
-    # Invariant checking rides along as an extra sink.  The default
-    # MemorySink stays first so collectors keep their event source;
-    # the suite is an observer and cannot change results (pinned by
-    # tests/testkit/test_transparency.py).
-    want_suite = (
-        check_invariants
-        and "sinks" in spec.parameters
-        and "sinks" not in config.overrides
-    )
-    use_parallel = (
-        workers > 1
-        and spec.supports_cells
-        and not set(config.overrides) & {"sinks", "metrics"}
-    )
-    if workers > 1 and not use_parallel:
-        print(
-            f"[{spec.name} is not cell-decomposable; running serially]",
-            file=sys.stderr,
-        )
-    registry = None
-    suite_checkers = None
-    profiler = None
-    series = None
+    path = json_dir / f"{spec.name}.json" if json_dir is not None else None
     started = time.time()
     try:
-        if use_parallel:
-            from repro.parallel import run_spec_parallel
-
-            run = run_spec_parallel(
-                spec,
-                config,
-                workers=workers,
-                want_metrics=want_metrics,
-                want_suite=want_suite,
-                want_profile=profile,
-                want_timeseries=profile and want_metrics,
-            )
-            result = run.result
-            registry = run.metrics
-            profiler = run.profile
-            series = run.timeseries
-            if want_suite:
-                from repro.testkit.invariants import InvariantSuite
-
-                suite_checkers = [c.name for c in InvariantSuite().checkers]
-                violations = list(run.violations)
-        else:
-            if want_metrics:
-                registry = MetricsRegistry()
-                config = dataclasses.replace(
-                    config, overrides={**config.overrides, "metrics": registry}
-                )
-            suite = None
-            if want_suite:
-                from repro.obs.sinks import MemorySink
-                from repro.testkit.invariants import InvariantSuite
-
-                suite = InvariantSuite()
-                config = dataclasses.replace(
-                    config,
-                    overrides={**config.overrides, "sinks": [MemorySink(), suite]},
-                )
-            from contextlib import ExitStack
-
-            with ExitStack() as stack:
-                if profile:
-                    from repro.obs.profile import profile_simulations
-
-                    profiler = stack.enter_context(
-                        profile_simulations(track_memory=profile_memory)
-                    )
-                    if registry is not None:
-                        from repro.obs.timeseries import record_simulations
-
-                        series = stack.enter_context(
-                            record_simulations(registry, label=spec.name)
-                        )
-                result = spec.run(config)
-            if suite is not None:
-                # No live system here (runners tear theirs down):
-                # system-needing checkers skip; stream-level invariants
-                # still verdict.
-                suite_checkers = [checker.name for checker in suite.checkers]
-                violations = suite.finalize(None)
+        run = run_spec(spec, config, options)
     except Exception as exc:
         # Don't abandon a started manifest: record the failure so the
         # artifact directory still explains what happened.
-        if json_dir is not None:
+        if path is not None:
             manifest.finish(
                 claim=spec.claim,
                 error={
@@ -205,78 +114,62 @@ def _run_one(
                     "message": str(exc),
                     "traceback": traceback.format_exc(),
                 },
-            )
-            path = json_dir / f"{spec.name}.json"
-            manifest.write(path)
+            ).write(path)
             print(f"[{spec.name} failed; manifest -> {path}]", file=sys.stderr)
         raise
     elapsed = time.time() - started
+    result = run.result
     print(result.report())
-    profile_extra = {}
-    if profiler is not None:
-        import json as _json
-
+    extra = {}
+    if run.profile is not None:
         from repro.obs.profile import format_profile_report
 
         print()
-        print(format_profile_report(profiler))
-        out_dir = profile_dir if profile_dir is not None else Path("profile")
-        out_dir.mkdir(parents=True, exist_ok=True)
-        profile_path = out_dir / f"{spec.name}-profile.json"
+        print(format_profile_report(run.profile))
+        profile_dir.mkdir(parents=True, exist_ok=True)
+        profile_path = profile_dir / f"{spec.name}-profile.json"
         profile_path.write_text(
-            _json.dumps(profiler.summary(), indent=2) + "\n", encoding="utf-8"
+            json.dumps(run.profile.summary(), indent=2) + "\n", encoding="utf-8"
         )
-        profile_extra["profile"] = {
-            "path": str(profile_path),
-            **profiler.summary(top=5),
-        }
+        extra["profile"] = {"path": str(profile_path), **run.profile.summary(top=5)}
         print(f"[{spec.name} profile -> {profile_path}]")
-        if series is not None:
-            series_path = series.write_jsonl(
-                out_dir / f"{spec.name}-timeseries.jsonl"
+        if run.timeseries is not None:
+            series_path = run.timeseries.write_jsonl(
+                profile_dir / f"{spec.name}-timeseries.jsonl"
             )
-            profile_extra["timeseries"] = {
-                "path": str(series_path),
-                **series.summary(),
-            }
+            extra["timeseries"] = {"path": str(series_path), **run.timeseries.summary()}
             print(f"[{spec.name} timeseries -> {series_path}]")
-    if suite_checkers is not None:
-        if violations:
-            print(f"[{spec.name} invariants: {len(violations)} violation(s)]")
-            for violation in violations:
+    causal = getattr(result, "causal", None)
+    if causal is not None:
+        extra["causal"] = causal
+    if run.checked is not None:
+        if run.violations:
+            print(f"[{spec.name} invariants: {len(run.violations)} violation(s)]")
+            for violation in run.violations:
                 print(f"  {violation}")
         else:
             print(f"[{spec.name} invariants: clean]")
-    else:
-        violations = []
-        if check_invariants:
-            print(f"[{spec.name} takes no sinks; invariant checking skipped]")
-    if json_dir is not None:
-        extra = dict(profile_extra)
-        causal = getattr(result, "causal", None)
-        if causal is not None:
-            extra["causal"] = causal
-        if suite_checkers is not None:
-            extra["invariants"] = {
-                "checked": suite_checkers,
-                "violations": [violation.as_dict() for violation in violations],
-            }
+        extra["invariants"] = {
+            "checked": run.checked,
+            "violations": [violation.as_dict() for violation in run.violations],
+        }
+    elif options.check_invariants:
+        print(f"[{spec.name} takes no sinks; invariant checking skipped]")
+    if path is not None:
         manifest.finish(
-            metrics=registry.snapshot() if registry is not None else None,
+            metrics=run.metrics.snapshot() if run.metrics is not None else None,
             result=_result_payload(result),
             claim=spec.claim,
             **extra,
-        )
-        path = json_dir / f"{spec.name}.json"
-        manifest.write(path)
+        ).write(path)
         print(f"[{spec.name} manifest -> {path}]")
-    return elapsed, violations
+    return elapsed, run.violations
 
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
-        description="Run the E1-E11 claim-reproduction experiments.",
+        description="Run the E1-E12 claim-reproduction experiments.",
     )
     parser.add_argument(
         "names", nargs="*", metavar="NAME",
@@ -302,7 +195,7 @@ def main(argv: list[str]) -> int:
         "--report", action="store_true",
         help=(
             "attach a CausalSink to experiments that support it (e2, "
-            "e11): print critical-path / hop-count / loss-attribution "
+            "e11, e12): print critical-path / hop-count / loss-attribution "
             "sections and store extra.causal in --json manifests"
         ),
     )
@@ -322,10 +215,11 @@ def main(argv: list[str]) -> int:
         help=(
             "primary trace sink for experiments that support it: "
             "'memory' retains events, 'streaming' folds bounded "
-            "aggregates, 'jsonl' additionally spools raw events to "
-            "traces/<name>.jsonl; the default 'auto' uses memory below "
+            "aggregates; the default 'auto' uses memory below "
             "10,000 nodes and streaming at or above "
-            "(repro.experiments.e2_latency.STREAMING_NODE_THRESHOLD)"
+            "(repro.experiments.e2_latency.STREAMING_NODE_THRESHOLD). "
+            "'jsonl' keeps that primary and additionally spools raw "
+            "events to traces/<name>.jsonl (needs --workers 1)"
         ),
     )
     parser.add_argument(
@@ -340,9 +234,9 @@ def main(argv: list[str]) -> int:
     parser.add_argument(
         "--workers", type=int, default=1, metavar="N",
         help=(
-            "run sweep-shaped experiments as N parallel worker "
-            "processes with deterministic merge (default 1: the "
-            "serial path; see docs/PARALLEL.md)"
+            "fan each experiment's cells out over N worker processes "
+            "with deterministic merge (default 1: in-process; see "
+            "docs/PARALLEL.md)"
         ),
     )
     parser.add_argument(
@@ -361,13 +255,6 @@ def main(argv: list[str]) -> int:
             "directory for --profile artifacts (default: profile/)"
         ),
     )
-    parser.add_argument(
-        "--profile-memory", action="store_true",
-        help=(
-            "with --profile, also track tracemalloc heap high-water "
-            "marks (serial path only; adds noticeable overhead)"
-        ),
-    )
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits on --help / bad flags
@@ -382,6 +269,13 @@ def main(argv: list[str]) -> int:
 
     if args.workers < 1:
         print(f"--workers must be >= 1, got {args.workers}", file=sys.stderr)
+        return 2
+    if args.sink == "jsonl" and args.workers > 1:
+        print(
+            "--sink jsonl needs --workers 1: an open trace file cannot "
+            "cross a process boundary",
+            file=sys.stderr,
+        )
         return 2
 
     if args.list_specs:
@@ -398,63 +292,54 @@ def main(argv: list[str]) -> int:
     if json_dir is not None:
         json_dir.mkdir(parents=True, exist_ok=True)
     config = ExperimentConfig(seed=args.seed, quick=args.quick)
+    options = RunOptions(
+        check_invariants=args.check_invariants,
+        profile=args.profile,
+        workers=args.workers,
+    )
+    # One row per flag in use that needs something of the spec: (flag
+    # as typed, what the spec must take, runner override).  Rows with
+    # no override act through the options; a spec that lacks what a
+    # flag needs runs unchanged under a note.
+    requested = []
+    if args.report:
+        requested.append(("--report", "report", True))
+    if args.backend != "object":
+        requested.append(("--backend", "backend", args.backend))
+    if args.sink == "jsonl":
+        requested.append(("--sink jsonl", "sinks", None))
+    elif args.sink != "auto":
+        requested.append(("--sink", "sink", args.sink))
+    if args.workers > 1:
+        requested.append(("--workers", "cells", None))
     violated = False
     for spec in specs:
-        spec_config = config
-        if args.report and "report" in spec.parameters:
-            spec_config = dataclasses.replace(
-                spec_config, overrides={**spec_config.overrides, "report": True}
-            )
-        if args.backend != "object":
-            if "backend" in spec.parameters:
-                spec_config = dataclasses.replace(
-                    spec_config,
-                    overrides={**spec_config.overrides, "backend": args.backend},
-                )
-            else:
+        takes = {*spec.parameters, *(["cells"] if spec.supports_cells else [])}
+        overrides = {}
+        for flag, needs, value in requested:
+            if needs not in takes:
                 print(
-                    f"[{spec.name} takes no backend; --backend ignored]",
+                    f"[{spec.name} takes no {needs}; {flag} ignored]",
                     file=sys.stderr,
                 )
+            elif value is not None:
+                overrides[needs] = value
+        spec_options = options
         jsonl_sink = None
-        if args.sink in ("memory", "streaming"):
-            if "sink" in spec.parameters:
-                spec_config = dataclasses.replace(
-                    spec_config,
-                    overrides={**spec_config.overrides, "sink": args.sink},
-                )
-            else:
-                print(
-                    f"[{spec.name} takes no sink selector; --sink ignored]",
-                    file=sys.stderr,
-                )
-        elif args.sink == "jsonl":
-            if "sinks" in spec.parameters:
-                from repro.obs.sinks import JsonlFileSink
+        if args.sink == "jsonl" and "sinks" in takes:
+            from repro.obs.sinks import JsonlFileSink
 
-                trace_dir = Path("traces")
-                trace_dir.mkdir(parents=True, exist_ok=True)
-                trace_path = trace_dir / f"{spec.name}.jsonl"
-                jsonl_sink = JsonlFileSink(trace_path)
-                spec_config = dataclasses.replace(
-                    spec_config,
-                    overrides={**spec_config.overrides, "sinks": [jsonl_sink]},
-                )
-            else:
-                print(
-                    f"[{spec.name} takes no sinks; --sink jsonl ignored]",
-                    file=sys.stderr,
-                )
+            trace_path = Path("traces") / f"{spec.name}.jsonl"
+            trace_path.parent.mkdir(parents=True, exist_ok=True)
+            jsonl_sink = JsonlFileSink(trace_path)
+            spec_options = dataclasses.replace(options, sinks=(jsonl_sink,))
         try:
             elapsed, violations = _run_one(
                 spec,
-                spec_config,
+                dataclasses.replace(config, overrides=overrides),
+                spec_options,
                 json_dir,
-                check_invariants=args.check_invariants,
-                workers=args.workers,
-                profile=args.profile,
-                profile_memory=args.profile_memory,
-                profile_dir=Path(args.profile_dir),
+                Path(args.profile_dir),
             )
         finally:
             if jsonl_sink is not None:

@@ -1,4 +1,4 @@
-"""Shared machinery for the claim-reproduction experiments E1–E11."""
+"""Shared machinery for the claim-reproduction experiments E1–E12."""
 
 from __future__ import annotations
 
@@ -119,12 +119,12 @@ def build_system(spec: SystemSpec) -> tuple:
     ``run_for``); otherwise a :class:`NewsWireSystem`.
     """
     spec.validate()
-    if spec.backend == "columnar":
-        # Deferred: repro.scale pulls in the whole columnar stack,
-        # which object-backend callers never need.
-        from repro.scale.backend import build_columnar_system
-
-        return build_columnar_system(spec)
+    live = not (spec.runtime is None or spec.runtime == "sim")
+    if live and spec.backend == "columnar":
+        raise ConfigurationError(
+            "the columnar backend runs on the simulator only; "
+            "live runtimes need backend='object'"
+        )
     interest_seed = spec.interest_seed if spec.interest_seed is not None else spec.seed
     interests = InterestModel(
         subjects=spec.subjects,
@@ -132,19 +132,29 @@ def build_system(spec: SystemSpec) -> tuple:
         seed=interest_seed,
     )
     interests.prepare(spec.num_nodes)
-    live = not (spec.runtime is None or spec.runtime == "sim")
-    system = build_newswire(
-        spec.num_nodes,
-        spec.config if spec.config is not None else NewsWireConfig(),
+    config = spec.config if spec.config is not None else NewsWireConfig()
+    population = dict(
         publisher_names=tuple(spec.publisher_names),
         publisher_rate=spec.publisher_rate,
         subscriptions_for=interests.subscriptions_for,
         seed=spec.seed,
         sinks=spec.sinks,
         metrics=spec.metrics,
-        start=not live,
-        runtime=None if not live else spec.runtime,
     )
+    if spec.backend == "columnar":
+        # Deferred: repro.scale pulls in the whole columnar stack,
+        # which object-backend callers never need.
+        from repro.scale.backend import build_columnar
+
+        system = build_columnar(spec.num_nodes, config, **population)
+    else:
+        system = build_newswire(
+            spec.num_nodes,
+            config,
+            start=not live,
+            runtime=spec.runtime if live else None,
+            **population,
+        )
     return system, interests
 
 #: Average English word length + space, for body size synthesis.

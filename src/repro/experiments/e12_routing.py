@@ -269,35 +269,17 @@ def run_e12_cell(
     return row, causal_text
 
 
-def _cell_kwargs(kwargs: dict) -> dict:
-    passthrough = (
-        "num_nodes",
-        "num_subjects",
-        "subscriptions_per_node",
-        "churn_rate",
-        "churn_duration",
-        "corrupt_fraction",
-        "num_bits",
-        "num_hashes",
-        "seed",
-        "sinks",
-        "report",
-    )
-    return {key: kwargs[key] for key in passthrough if key in kwargs}
-
-
 def _e12_cells(kwargs: dict) -> list[SweepCell]:
-    shared = _cell_kwargs(kwargs)
-    # Causal sinks aren't picklable across workers; the serial path
-    # still renders them.
-    shared.pop("sinks", None)
-    shared.pop("report", None)
+    """One cell per scheme, each taking every ``run_e12`` parameter.
+    ``report`` rides along: a cell returns its causal report as
+    rendered text, which crosses a worker boundary."""
+    validate_seed(kwargs["seed"])
     return [
         SweepCell(
             index=index,
             label=f"scheme:{name}",
             runner=run_e12_cell,
-            kwargs={"scheme": name, **shared},
+            kwargs={"scheme": name, **kwargs},
         )
         for index, name in enumerate(E12_SCHEMES)
     ]
@@ -340,16 +322,10 @@ def run_e12(
     sinks: Optional[Sequence[TraceSink]] = None,
     report: bool = False,
 ) -> E12Result:
-    validate_seed(seed)
-    kwargs = _cell_kwargs(locals())
-    rows: list[E12Row] = []
-    causal_reports: list[str] = []
-    for name in E12_SCHEMES:
-        row, causal_text = run_e12_cell(scheme=name, **kwargs)
-        rows.append(row)
-        if causal_text:
-            causal_reports.append(causal_text)
-    return E12Result(rows=rows, causal_reports=causal_reports)
+    kwargs = dict(locals())  # the parameters, exactly as run_e12_cell takes them
+    return _e12_merge(
+        kwargs, [cell.runner(**cell.kwargs) for cell in _e12_cells(kwargs)]
+    )
 
 
 if __name__ == "__main__":

@@ -111,6 +111,7 @@ def _e2_cells(kwargs: dict) -> list[SweepCell]:
     fully independent: running each as its own single-size ``run_e2``
     call reproduces the serial rows byte-for-byte.
     """
+    validate_sizes("sizes", kwargs["sizes"])  # an empty sweep plans no cell to refuse it
     cells = []
     for index, num_nodes in enumerate(kwargs["sizes"]):
         cell_kwargs = dict(kwargs)

@@ -128,7 +128,7 @@ def run_e5_analytic(
     return rows
 
 
-#: The system sweep run_e5 drives (and the parallel cell plan mirrors).
+#: The system sweep run_e5's cell plan covers.
 DEFAULT_SYSTEM_BIT_SIZES: tuple[int, ...] = (64, 256, 1024)
 
 
@@ -212,6 +212,7 @@ def _e5_cells(kwargs: dict) -> list[SweepCell]:
     """The analytic sweep (one sequential RNG stream, kept whole) plus
     one cell per system scheme — all independent given the seed."""
     seed = kwargs.get("seed", 0)
+    validate_seed(seed)
     cells = [
         SweepCell(
             index=0,
@@ -247,10 +248,9 @@ def _e5_merge(kwargs: dict, results: list) -> "E5Result":
     merge=_e5_merge,
 )
 def run_e5(*, seed: int = 0) -> E5Result:
-    validate_seed(seed)
-    return E5Result(
-        analytic=run_e5_analytic(seed=seed),
-        system=run_e5_system(seed=seed),
+    kwargs = {"seed": seed}
+    return _e5_merge(
+        kwargs, [cell.runner(**cell.kwargs) for cell in _e5_cells(kwargs)]
     )
 
 

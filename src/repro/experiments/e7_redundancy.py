@@ -138,7 +138,14 @@ def run_e7_cell(
 
 
 def _e7_cells(kwargs: dict) -> list[SweepCell]:
-    """One cell per (representatives, repair) combination."""
+    """One cell per (representatives, repair) combination.  The sweep
+    is validated here, where every path to the cells passes."""
+    validate_positive("num_nodes", kwargs["num_nodes"])
+    validate_positive("items", kwargs["items"])
+    validate_sizes("rep_counts", kwargs["rep_counts"])
+    validate_fraction("loss_rate", kwargs["loss_rate"])
+    validate_fraction("crash_fraction", kwargs["crash_fraction"])
+    validate_seed(kwargs["seed"])
     cells = []
     for reps in kwargs["rep_counts"]:
         for repair in kwargs["repair_options"]:
@@ -185,26 +192,10 @@ def run_e7(
     crash_fraction: float = 0.10,
     seed: int = 0,
 ) -> E7Result:
-    validate_positive("num_nodes", num_nodes)
-    validate_positive("items", items)
-    validate_sizes("rep_counts", rep_counts)
-    validate_fraction("loss_rate", loss_rate)
-    validate_fraction("crash_fraction", crash_fraction)
-    validate_seed(seed)
-    rows = [
-        run_e7_cell(
-            num_nodes=num_nodes,
-            items=items,
-            reps=reps,
-            repair=repair,
-            loss_rate=loss_rate,
-            crash_fraction=crash_fraction,
-            seed=seed,
-        )
-        for reps in rep_counts
-        for repair in repair_options
-    ]
-    return E7Result(rows)
+    kwargs = dict(locals())  # exactly the sweep parameters _e7_cells reads
+    return _e7_merge(
+        kwargs, [cell.runner(**cell.kwargs) for cell in _e7_cells(kwargs)]
+    )
 
 
 def _adjust_for_crashes(

@@ -11,12 +11,14 @@ Every claim-reproduction experiment registers itself with a
     def run_e2(*, sizes=(100, 500, 2000), ...) -> E2Result: ...
 
 and the CLI (``python -m repro.experiments``) drives them all through
-one uniform protocol: :meth:`ExperimentSpec.run` takes an
-:class:`ExperimentConfig` (seed, quick flag, keyword overrides),
-validates every override against the runner's actual signature —
-unknown keys are a :class:`ConfigurationError`, not a silent typo —
-and returns the experiment's ``*Result`` object (which always carries
-a ``report()`` method).
+one uniform protocol: an :class:`ExperimentConfig` says *what* to run
+(seed, quick flag, keyword overrides — every override validated
+against the runner's actual signature, so an unknown key is a
+:class:`ConfigurationError`, not a silent typo) and a
+:class:`RunOptions` says *how* (invariant suite, flight recorder,
+observer sinks, worker count).  Either way the outcome is the
+experiment's ``*Result`` object, which always carries a ``report()``
+method.
 
 Quick-mode parameters live on the spec itself instead of a parallel
 table of lambdas, so ``--quick`` and ``--list`` can never drift out of
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence
 
 from repro.core.errors import ConfigurationError
 
@@ -42,13 +44,41 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
+class RunOptions:
+    """How the harness runs an experiment — one value, applied to every
+    spec alike by :func:`repro.parallel.run_spec`.
+
+    ``check_invariants`` attaches the :mod:`repro.testkit` invariant
+    suite and ``sinks`` any further observer sinks (the ``--sink jsonl``
+    spool) to each cell whose runner takes ``sinks``; ``profile``
+    attaches the flight recorder (kernel profiler, plus a time-series
+    sampler wherever the runner takes ``metrics``); ``workers`` is how
+    many processes the cells fan out over, one meaning in-process.
+    """
+
+    check_invariants: bool = False
+    profile: bool = False
+    workers: int = 1
+    sinks: Sequence[Any] = ()
+
+    def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
+        if self.workers > 1 and self.sinks:
+            raise ConfigurationError(
+                "observer sinks cannot cross a process boundary; "
+                "attach them with workers=1"
+            )
+
+
+@dataclass(frozen=True)
 class SweepCell:
     """One independent unit of an experiment's sweep.
 
     ``runner`` must be a module-level callable (workers import it by
     reference) and ``kwargs`` picklable; running every cell and folding
-    the results through the spec's merger must be byte-identical to the
-    serial run.  ``index`` is the canonical merge position.
+    the results through the spec's merger must be byte-identical to
+    calling the runner whole.  ``index`` is the canonical merge position.
     """
 
     index: int
@@ -65,9 +95,9 @@ class ExperimentSpec:
     hook*: ``cell_planner`` maps the fully resolved runner kwargs to a
     list of independent :class:`SweepCell`, and ``cell_merger`` folds
     the per-cell results (in canonical ``index`` order) back into the
-    one ``*Result`` object the serial runner would have returned.  The
-    parallel executor (:mod:`repro.parallel`) drives those hooks;
-    specs without them always run serially.
+    one ``*Result`` object the whole runner returns.  A spec without
+    the hooks is one cell — its runner — so the executor
+    (:mod:`repro.parallel`) drives every spec the same way.
     """
 
     name: str
@@ -84,7 +114,8 @@ class ExperimentSpec:
 
     @property
     def supports_cells(self) -> bool:
-        """Whether this experiment can decompose into parallel cells."""
+        """Whether this experiment registered a cell plan (without one
+        it is a single cell: its whole runner)."""
         return self.cell_planner is not None and self.cell_merger is not None
 
     def resolved_kwargs(self, config: "ExperimentConfig") -> Dict[str, Any]:
@@ -102,15 +133,10 @@ class ExperimentSpec:
         return resolved
 
     def plan_cells(self, config: "ExperimentConfig") -> "list[SweepCell]":
-        """The canonical cell decomposition for ``config``.
-
-        Raises :class:`ConfigurationError` when the spec registered no
-        decomposition hook (check :attr:`supports_cells` first).
-        """
+        """The canonical cell decomposition for ``config``: the
+        planner's cells, or the whole runner as the only cell."""
         if not self.supports_cells:
-            raise ConfigurationError(
-                f"experiment {self.name!r} has no cell decomposition"
-            )
+            return [SweepCell(0, self.name, self.runner, self.build_kwargs(config))]
         cells = self.cell_planner(self.resolved_kwargs(config))
         for expected, cell in enumerate(cells):
             if cell.index != expected:
@@ -123,9 +149,8 @@ class ExperimentSpec:
     def merge_cells(self, config: "ExperimentConfig", results: list) -> Any:
         """Fold per-cell results (canonical order) into one ``*Result``."""
         if not self.supports_cells:
-            raise ConfigurationError(
-                f"experiment {self.name!r} has no cell decomposition"
-            )
+            (result,) = results
+            return result
         return self.cell_merger(self.resolved_kwargs(config), results)
 
     def build_kwargs(self, config: ExperimentConfig) -> Dict[str, Any]:
@@ -153,7 +178,9 @@ class ExperimentSpec:
         return kwargs
 
     def run(self, config: Optional[ExperimentConfig] = None) -> Any:
-        """Execute the experiment; returns its ``*Result`` object."""
+        """Call the runner whole and uninstrumented; returns its
+        ``*Result`` (the reference the equivalence tests hold
+        :func:`repro.parallel.run_spec` to)."""
         resolved = config if config is not None else ExperimentConfig()
         return self.runner(**self.build_kwargs(resolved))
 
@@ -179,9 +206,9 @@ def register(
     import, not mid-run.
 
     ``cells``/``merge`` (both or neither) register the sweep's cell
-    decomposition for the parallel executor: ``cells(resolved_kwargs)``
-    plans independent :class:`SweepCell` units, ``merge(resolved_kwargs,
-    results)`` reassembles their results into the serial ``*Result``.
+    decomposition for the executor: ``cells(resolved_kwargs)`` plans
+    independent :class:`SweepCell` units, ``merge(resolved_kwargs,
+    results)`` reassembles their results into the one ``*Result``.
     """
 
     def decorator(fn: Callable[..., Any]) -> Callable[..., Any]:

@@ -1,12 +1,13 @@
-"""Process-parallel sweep execution with deterministic merge.
+"""Cell execution with deterministic merge — the experiments' run path.
 
-The experiments CLI runs parameter sweeps serially by default; this
-package decomposes a sweep-shaped experiment into independent cells
-(sizes × seeds × scheme variants, planned by the spec's
-``cell_planner``), runs them in ``multiprocessing`` workers (spawn
-context), and merges the streamed-back results in canonical cell
-order — so reports, golden fingerprints, ``--json`` manifests and
-invariant verdicts are byte-identical to a serial run.  See
+Every experiment run goes through :func:`run_spec`: the spec plans
+independent cells (sizes × seeds × scheme variants via its
+``cell_planner``, or its whole runner as the only cell), the cells run
+instrumented as one :class:`~repro.experiments.registry.RunOptions`
+value asks — in-process with one worker, in ``multiprocessing`` workers
+(spawn context) with more — and the outcomes merge in canonical cell
+order, so reports, golden fingerprints, ``--json`` manifests and
+invariant verdicts are byte-identical at any worker count.  See
 ``docs/PARALLEL.md`` for the determinism contract.
 """
 
@@ -14,18 +15,18 @@ from repro.parallel.executor import (
     CellFailure,
     CellOutcome,
     ParallelExecutionError,
-    ParallelRun,
+    SpecRun,
     derive_cell_stream,
     run_cells,
-    run_spec_parallel,
+    run_spec,
 )
 
 __all__ = [
     "CellFailure",
     "CellOutcome",
     "ParallelExecutionError",
-    "ParallelRun",
+    "SpecRun",
     "derive_cell_stream",
     "run_cells",
-    "run_spec_parallel",
+    "run_spec",
 ]

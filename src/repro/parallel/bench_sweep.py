@@ -1,8 +1,9 @@
-"""Sweep-throughput harness — serial vs process-parallel wall time.
+"""Sweep-throughput harness — one worker vs N workers, wall time.
 
-Times the quick E2/E5/E7 sweeps twice — once through the serial
-``spec.run`` path and once through the process-parallel executor —
-verifies the two produce identical result payloads, and reports
+Times the quick E2/E5/E7 sweeps twice through the same
+:func:`repro.parallel.run_spec` path — once in-process with one worker
+("serial") and once across N worker processes — verifies the two
+produce identical result payloads, and reports
 per-experiment wall times, the overall speedup, and the machine's CPU
 count.
 
@@ -32,8 +33,8 @@ import time
 from pathlib import Path
 from typing import Optional
 
-from repro.experiments.registry import ExperimentConfig, get_spec
-from repro.parallel import run_spec_parallel
+from repro.experiments.registry import ExperimentConfig, RunOptions, get_spec
+from repro.parallel import run_spec
 
 #: The decomposable quick sweeps the harness times.
 DEFAULT_EXPERIMENTS = ("e2", "e5", "e7")
@@ -50,11 +51,11 @@ def bench_sweeps(
     for name in experiments:
         spec = get_spec(name)
         started = time.perf_counter()
-        serial_result = spec.run(config)
+        serial_result = run_spec(spec, config, RunOptions(workers=1)).result
         serial_s = time.perf_counter() - started
 
         started = time.perf_counter()
-        parallel_run = run_spec_parallel(spec, config, workers=workers)
+        parallel_run = run_spec(spec, config, RunOptions(workers=workers))
         parallel_s = time.perf_counter() - started
 
         if dataclasses.asdict(parallel_run.result) != dataclasses.asdict(

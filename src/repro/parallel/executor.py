@@ -1,23 +1,26 @@
-"""The process-per-cell sweep executor.
+"""The cell executor: every experiment run is plan → run cells → merge.
 
 Execution model
 ---------------
 
-A sweep-shaped experiment decomposes into :class:`~repro.experiments.
-registry.SweepCell` units (one population size, one scheme variant,
-one fuzz seed...).  Each cell is shipped to a worker process over a
-task queue; workers run cells and stream a :class:`CellOutcome` —
-result object, per-cell provenance, optional metrics registry and
-invariant violations — back over a result queue.  The parent collects
-every outcome and reassembles them in canonical cell order, so the
-merged result is independent of worker scheduling.
+An experiment decomposes into :class:`~repro.experiments.registry.
+SweepCell` units (one population size, one scheme variant, one fuzz
+seed... or, for a spec without a planner, its whole runner).
+:func:`_execute_cell` runs one cell, instrumented as the run's
+:class:`~repro.experiments.registry.RunOptions` ask, into a
+:class:`CellOutcome` — result object, per-cell provenance, metrics
+registry, invariant violations, profile.  With one worker the cells run
+in this process; with more, each is shipped to a worker process over a
+task queue and its outcome streamed back over a result queue.  Either
+way the outcomes are reassembled in canonical cell order, so the merged
+result is independent of worker count and scheduling.
 
 Determinism contract
 --------------------
 
 * Workers use the ``spawn`` start method: no forked parent state, no
   inherited RNG positions.
-* Every worker re-seeds the global :mod:`random` stream from the
+* Every cell re-seeds the global :mod:`random` stream from the
   explicit ``(experiment, cell, seed)`` derivation
   (:func:`derive_cell_stream`, built on the same collision-free
   :func:`repro.sim.rng.derive_substream` that derives per-subscriber
@@ -43,7 +46,7 @@ from queue import Empty
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.core.errors import ConfigurationError
+from repro.experiments.registry import RunOptions, SweepCell
 from repro.sim.rng import derive_seed, derive_substream
 
 #: How long the parent waits between liveness checks while collecting
@@ -65,23 +68,6 @@ def derive_cell_stream(experiment: str, cell_index: int, seed: Optional[int]) ->
     return derive_substream(derive_seed(seed or 0, f"cell:{experiment}"), cell_index)
 
 
-@dataclass(frozen=True)
-class _CellTask:
-    """What the parent ships to a worker: one cell plus run policy."""
-
-    index: int
-    label: str
-    runner: Any
-    kwargs: Dict[str, Any]
-    experiment: str
-    seed: Optional[int]
-    want_metrics: bool
-    want_suite: bool
-    want_profile: bool = False
-    want_timeseries: bool = False
-    timeseries_interval: float = 1.0
-
-
 @dataclass
 class CellOutcome:
     """What a worker streams back for one cell."""
@@ -89,13 +75,16 @@ class CellOutcome:
     index: int
     label: str
     result: Any = None
-    #: Per-worker metrics registry (when the cell accepted one).
+    #: Per-cell metrics registry (when the runner takes ``metrics``).
     metrics: Any = None
-    #: Invariant violations from the per-cell suite (when attached).
+    #: Checker names of the per-cell invariant suite; None when none
+    #: was attached (not asked for, or the runner takes no ``sinks``).
+    checked: Optional[List[str]] = None
+    #: Invariant violations from that suite.
     violations: List[Any] = field(default_factory=list)
-    #: Per-cell kernel profiler (when ``want_profile``).
+    #: Per-cell kernel profiler (with ``options.profile``).
     profile: Any = None
-    #: Per-cell time-series bundle (when ``want_timeseries``).
+    #: Per-cell time-series bundle (``options.profile`` and a registry).
     timeseries: Any = None
     #: Lightweight per-cell provenance: derivation, cost, worker pid.
     manifest: Dict[str, Any] = field(default_factory=dict)
@@ -128,20 +117,21 @@ class ParallelExecutionError(RuntimeError):
 
 
 @dataclass
-class ParallelRun:
-    """The merged view of one parallel sweep execution."""
+class SpecRun:
+    """The merged view of one experiment execution."""
 
     result: Any
-    #: Merged metrics registry (canonical-order fold), or None.
+    #: Canonical-order fold of the per-cell registries / profilers /
+    #: time-series bundles; None where no cell produced one.
     metrics: Any = None
+    profile: Any = None
+    timeseries: Any = None
+    #: Invariant checker names, or None when no cell attached a suite.
+    checked: Optional[List[str]] = None
     #: Violations concatenated in canonical cell order.
     violations: List[Any] = field(default_factory=list)
     #: Per-cell provenance records, canonical order.
     cells: List[Dict[str, Any]] = field(default_factory=list)
-    #: Merged kernel profiler (canonical-order fold), or None.
-    profile: Any = None
-    #: Merged time-series bundle (canonical-order fold), or None.
-    timeseries: Any = None
 
 
 def _accepts(runner: Any, name: str) -> bool:
@@ -151,66 +141,71 @@ def _accepts(runner: Any, name: str) -> bool:
         return False
 
 
-def _execute_cell(task: _CellTask) -> CellOutcome:
-    """Run one cell in the current process (worker side)."""
-    # Explicit worker re-seed: protects determinism even if some code
-    # path reaches for the module-level random stream.
-    stream = derive_cell_stream(task.experiment, task.index, task.seed)
+def _execute_cell(
+    cell: SweepCell, options: RunOptions, experiment: str, seed: Optional[int]
+) -> CellOutcome:
+    """Run one cell in the current process, instrumented as ``options`` ask.
+
+    The one place a run gets its registry, invariant suite, profiler
+    and sampler.  All four observe from outside the event stream
+    (sinks are transparent, the flight recorder's dispatch monitors read
+    only wall time), so attaching them cannot change any cell's result
+    — pinned by the transparency and worker-count equivalence tests.
+    A raising runner propagates unchanged: in-process that keeps
+    ``KeyboardInterrupt`` and the runner's own error type intact; pool
+    workers format it in :func:`_worker_loop`.
+    """
+    # Explicit re-seed, before the runner: protects determinism even if
+    # some code path reaches for the module-level random stream.
+    stream = derive_cell_stream(experiment, cell.index, seed)
     random.seed(stream)
-    outcome = CellOutcome(index=task.index, label=task.label)
-    kwargs = dict(task.kwargs)
-    registry = None
-    # Time-series sampling needs a registry to snapshot, so the flag
-    # implies per-cell metrics wherever the runner can take them.
-    if (task.want_metrics or task.want_timeseries) and _accepts(
-        task.runner, "metrics"
-    ):
+    outcome = CellOutcome(index=cell.index, label=cell.label)
+    # Planned kwargs are resolved against the runner's defaults, so an
+    # unset ``metrics`` / ``sinks`` is present as None: test the value.
+    kwargs = dict(cell.kwargs)
+    if kwargs.get("metrics") is None and _accepts(cell.runner, "metrics"):
         from repro.obs.metrics import MetricsRegistry
 
-        registry = MetricsRegistry()
-        kwargs["metrics"] = registry
+        kwargs["metrics"] = MetricsRegistry()
+    outcome.metrics = kwargs.get("metrics")
     suite = None
-    if task.want_suite and _accepts(task.runner, "sinks"):
-        from repro.obs.sinks import MemorySink
-        from repro.testkit.invariants import InvariantSuite
+    if _accepts(cell.runner, "sinks"):
+        observers = list(options.sinks)
+        if options.check_invariants:
+            from repro.testkit.invariants import InvariantSuite
 
-        suite = InvariantSuite()
-        kwargs["sinks"] = [MemorySink(), suite]
-    # Instrumentation contexts: both are dispatch monitors (observe
-    # wall time from outside the event stream), so attaching them here
-    # cannot change any cell's result — pinned by the transparency and
-    # serial-vs-parallel equivalence tests.
+            suite = InvariantSuite()
+            observers.insert(0, suite)
+        if observers:
+            # Observers ride behind a primary MemorySink, never in its
+            # place: collectors keep their event source.
+            from repro.obs.sinks import MemorySink
+
+            kwargs["sinks"] = [*(kwargs.get("sinks") or [MemorySink()]), *observers]
     started = time.perf_counter()
-    try:
-        with ExitStack() as stack:
-            if task.want_profile:
-                from repro.obs.profile import KernelProfiler, profile_simulations
+    with ExitStack() as stack:
+        if options.profile:
+            from repro.obs.profile import KernelProfiler, profile_simulations
 
-                outcome.profile = KernelProfiler()
-                stack.enter_context(
-                    profile_simulations(profiler=outcome.profile)
-                )
-            if task.want_timeseries and registry is not None:
+            outcome.profile = KernelProfiler()
+            stack.enter_context(profile_simulations(profiler=outcome.profile))
+            if outcome.metrics is not None:
                 from repro.obs.timeseries import record_simulations
 
                 outcome.timeseries = stack.enter_context(
-                    record_simulations(
-                        registry,
-                        interval=task.timeseries_interval,
-                        label=task.label,
-                    )
+                    record_simulations(outcome.metrics, label=cell.label)
                 )
-            outcome.result = task.runner(**kwargs)
-        if suite is not None:
-            outcome.violations = suite.finalize(None)
-    except BaseException:
-        outcome.error = traceback.format_exc()
-    outcome.metrics = registry
+        outcome.result = cell.runner(**kwargs)
+    if suite is not None:
+        # No live system here (runners tear theirs down): system-needing
+        # checkers skip; stream-level invariants still verdict.
+        outcome.checked = [checker.name for checker in suite.checkers]
+        outcome.violations = suite.finalize(None)
     outcome.manifest = {
-        "experiment": task.experiment,
-        "cell": task.index,
-        "label": task.label,
-        "seed": task.seed,
+        "experiment": experiment,
+        "cell": cell.index,
+        "label": cell.label,
+        "seed": seed,
         "worker_stream": stream,
         "wall_time_s": time.perf_counter() - started,
         "pid": os.getpid(),
@@ -219,65 +214,40 @@ def _execute_cell(task: _CellTask) -> CellOutcome:
 
 
 def _worker_loop(task_queue, result_queue) -> None:
-    """Worker main: drain cells until the None sentinel arrives."""
+    """Worker main: drain ``_execute_cell`` argument tuples until the
+    None sentinel arrives."""
     while True:
         task = task_queue.get()
         if task is None:
             return
         try:
-            outcome = _execute_cell(task)
+            outcome = _execute_cell(*task)
         except BaseException:  # never die silently with a cell in hand
-            outcome = CellOutcome(
-                index=task.index, label=task.label, error=traceback.format_exc()
-            )
+            cell = task[0]
+            outcome = CellOutcome(cell.index, cell.label, error=traceback.format_exc())
         result_queue.put(outcome)
 
 
 def run_cells(
     cells,
+    options: RunOptions = RunOptions(),
     *,
-    workers: int,
     experiment: str,
     seed: Optional[int] = None,
-    want_metrics: bool = False,
-    want_suite: bool = False,
-    want_profile: bool = False,
-    want_timeseries: bool = False,
-    timeseries_interval: float = 1.0,
 ) -> List[CellOutcome]:
-    """Run ``cells`` across ``workers`` processes; canonical-order outcomes.
+    """Run ``cells`` as ``options`` ask; canonical-order outcomes.
 
-    With ``workers <= 1`` (or a single cell) everything runs in-process
-    — the exact serial path, no subprocess round-trip.  Raises
-    :class:`ParallelExecutionError` if any cell raised or a worker
-    died; otherwise returns one :class:`CellOutcome` per cell, ordered
-    by cell index regardless of completion order.
+    With one worker (or a single cell) everything runs in-process, no
+    subprocess round-trip, and a raising cell propagates its exception
+    unchanged.  Across a pool, raises :class:`ParallelExecutionError`
+    if any cell raised or a worker died.  Otherwise returns one
+    :class:`CellOutcome` per cell, ordered by cell index regardless of
+    completion order.
     """
     cells = list(cells)
-    if not cells:
-        return []
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    tasks = [
-        _CellTask(
-            index=cell.index,
-            label=cell.label,
-            runner=cell.runner,
-            kwargs=dict(cell.kwargs),
-            experiment=experiment,
-            seed=seed,
-            want_metrics=want_metrics,
-            want_suite=want_suite,
-            want_profile=want_profile,
-            want_timeseries=want_timeseries,
-            timeseries_interval=timeseries_interval,
-        )
-        for cell in cells
-    ]
-    if workers == 1 or len(cells) == 1:
-        outcomes = [_execute_cell(task) for task in tasks]
-    else:
-        outcomes = _run_in_pool(tasks, min(workers, len(cells)))
+    if options.workers == 1 or len(cells) <= 1:
+        return [_execute_cell(cell, options, experiment, seed) for cell in cells]
+    outcomes = _run_in_pool(cells, options, experiment, seed)
     outcomes.sort(key=lambda outcome: outcome.index)
     failures = [
         CellFailure(label=o.label, error=o.error) for o in outcomes if o.error
@@ -287,7 +257,7 @@ def run_cells(
     return outcomes
 
 
-def _run_in_pool(tasks: List[_CellTask], workers: int) -> List[CellOutcome]:
+def _run_in_pool(cells, options, experiment, seed) -> List[CellOutcome]:
     context = multiprocessing.get_context("spawn")
     task_queue = context.Queue()
     result_queue = context.Queue()
@@ -295,34 +265,34 @@ def _run_in_pool(tasks: List[_CellTask], workers: int) -> List[CellOutcome]:
         context.Process(
             target=_worker_loop, args=(task_queue, result_queue), daemon=True
         )
-        for _ in range(workers)
+        for _ in range(min(options.workers, len(cells)))
     ]
     for process in processes:
         process.start()
     try:
-        for task in tasks:
-            task_queue.put(task)
+        for cell in cells:
+            task_queue.put((cell, options, experiment, seed))
         for _ in processes:
             task_queue.put(None)
         outcomes: List[CellOutcome] = []
-        while len(outcomes) < len(tasks):
+        while len(outcomes) < len(cells):
             try:
                 outcomes.append(result_queue.get(timeout=_POLL_INTERVAL_S))
             except Empty:  # no result yet — check worker liveness
                 if all(not process.is_alive() for process in processes):
                     # Drain whatever made it onto the queue first.
-                    while len(outcomes) < len(tasks):
+                    while len(outcomes) < len(cells):
                         try:
                             outcomes.append(result_queue.get_nowait())
                         except Empty:
                             break
-                    if len(outcomes) < len(tasks):
+                    if len(outcomes) < len(cells):
                         done = {outcome.index for outcome in outcomes}
                         missing = [
-                            task.label for task in tasks if task.index not in done
+                            cell.label for cell in cells if cell.index not in done
                         ]
                         raise ParallelExecutionError(
-                            tasks[0].experiment,
+                            experiment,
                             [
                                 CellFailure(
                                     label=label,
@@ -341,72 +311,31 @@ def _run_in_pool(tasks: List[_CellTask], workers: int) -> List[CellOutcome]:
         result_queue.close()
 
 
-def run_spec_parallel(
-    spec,
-    config,
-    *,
-    workers: int,
-    want_metrics: bool = False,
-    want_suite: bool = False,
-    want_profile: bool = False,
-    want_timeseries: bool = False,
-    timeseries_interval: float = 1.0,
-) -> ParallelRun:
-    """Run one registered experiment's sweep across worker processes.
+def run_spec(spec, config, options: RunOptions = RunOptions()) -> SpecRun:
+    """Run one registered experiment: plan cells, run them, merge.
 
-    ``spec`` must support cell decomposition
-    (:attr:`~repro.experiments.registry.ExperimentSpec.supports_cells`);
-    the caller owns that check and the serial fallback.  Per-cell
-    metrics registries are folded into one in canonical order
-    (:meth:`~repro.obs.metrics.MetricsRegistry.merge`), violations are
-    concatenated in canonical order, and the merged result object is
-    byte-identical to what ``spec.run(config)`` returns.
+    The one run path — a spec without a planner is a single cell, one
+    worker is the in-process case.  Per-cell registries, profilers and
+    time-series bundles fold in canonical order through their own
+    ``merge``, violations concatenate in canonical order, and the
+    merged result object is byte-identical to what ``spec.run(config)``
+    returns, at any worker count.
     """
-    cells = spec.plan_cells(config)
     outcomes = run_cells(
-        cells,
-        workers=workers,
-        experiment=spec.name,
-        seed=config.seed,
-        want_metrics=want_metrics,
-        want_suite=want_suite,
-        want_profile=want_profile,
-        want_timeseries=want_timeseries,
-        timeseries_interval=timeseries_interval,
+        spec.plan_cells(config), options, experiment=spec.name, seed=config.seed
     )
-    result = spec.merge_cells(config, [outcome.result for outcome in outcomes])
-    merged_metrics = None
-    if want_metrics:
-        from repro.obs.metrics import MetricsRegistry
-
-        merged_metrics = MetricsRegistry()
-        for outcome in outcomes:
-            if outcome.metrics is not None:
-                merged_metrics.merge(outcome.metrics)
-    merged_profile = None
-    if want_profile:
-        from repro.obs.profile import KernelProfiler
-
-        merged_profile = KernelProfiler()
-        for outcome in outcomes:
-            if outcome.profile is not None:
-                merged_profile.merge(outcome.profile)
-    merged_series = None
-    if want_timeseries:
-        from repro.obs.timeseries import TimeSeriesBundle
-
-        merged_series = TimeSeriesBundle()
-        for outcome in outcomes:
-            if outcome.timeseries is not None:
-                merged_series.merge(outcome.timeseries)
-    violations: List[Any] = []
-    for outcome in outcomes:
-        violations.extend(outcome.violations)
-    return ParallelRun(
-        result=result,
-        metrics=merged_metrics,
-        violations=violations,
+    run = SpecRun(
+        result=spec.merge_cells(config, [outcome.result for outcome in outcomes]),
         cells=[outcome.manifest for outcome in outcomes],
-        profile=merged_profile,
-        timeseries=merged_series,
     )
+    for outcome in outcomes:
+        for part in ("metrics", "profile", "timeseries"):
+            piece, merged = getattr(outcome, part), getattr(run, part)
+            if merged is None:
+                setattr(run, part, piece)
+            elif piece is not None and piece is not merged:  # caller-shared
+                merged.merge(piece)
+        if outcome.checked is not None:
+            run.checked = outcome.checked
+        run.violations.extend(outcome.violations)
+    return run

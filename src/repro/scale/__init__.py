@@ -24,7 +24,6 @@ per-event timings are statistically, not bitwise, equivalent.
 from repro.scale.backend import (
     ColumnarNewsWire,
     build_columnar,
-    build_columnar_system,
     canonical_digest,
     canonical_trace,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "ColumnarNewsWire",
     "MembershipColumns",
     "build_columnar",
-    "build_columnar_system",
     "canonical_digest",
     "canonical_trace",
 ]

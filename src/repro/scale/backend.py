@@ -57,7 +57,6 @@ from repro.sim.engine import Simulation
 from repro.sim.network import HierarchicalLatency
 from repro.sim.rng import derive_rng
 from repro.sim.trace import TraceLog
-from repro.workloads.populations import InterestModel
 
 #: Stream tag for per-item latency draws (one substream per publish,
 #: so walk order changes never perturb other items' draws).
@@ -450,34 +449,6 @@ def build_columnar(
     if start:
         gossip.start()
     return system
-
-
-def build_columnar_system(spec) -> Tuple[ColumnarNewsWire, InterestModel]:
-    """`build_system` twin for ``SystemSpec(backend="columnar")``."""
-    spec.validate()
-    if not (spec.runtime is None or spec.runtime == "sim"):
-        raise ConfigurationError(
-            "the columnar backend runs on the simulator only; "
-            "live runtimes need backend='object'"
-        )
-    interest_seed = spec.interest_seed if spec.interest_seed is not None else spec.seed
-    interests = InterestModel(
-        subjects=spec.subjects,
-        subscriptions_per_node=spec.subscriptions_per_node,
-        seed=interest_seed,
-    )
-    interests.prepare(spec.num_nodes)
-    system = build_columnar(
-        spec.num_nodes,
-        spec.config if spec.config is not None else NewsWireConfig(),
-        publisher_names=tuple(spec.publisher_names),
-        publisher_rate=spec.publisher_rate,
-        subscriptions_for=interests.subscriptions_for,
-        seed=spec.seed,
-        sinks=spec.sinks,
-        metrics=spec.metrics,
-    )
-    return system, interests
 
 
 # ----------------------------------------------------------------------

@@ -143,7 +143,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # back a picklable summary.  Printing, shrinking and early exit
         # stay in the parent, in seed order, so output is identical to
         # the serial path (every scenario is deterministic per seed).
-        from repro.experiments.registry import SweepCell
+        from repro.experiments.registry import RunOptions, SweepCell
         from repro.parallel import run_cells
 
         outcomes = run_cells(
@@ -160,7 +160,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 )
                 for position, seed in enumerate(seeds)
             ],
-            workers=args.workers,
+            RunOptions(workers=args.workers),
             experiment="fuzz",
             seed=args.seed_start,
         )

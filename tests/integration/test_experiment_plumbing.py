@@ -1,6 +1,11 @@
 """Tests for the experiment helpers and the runner registry."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +30,8 @@ from repro.experiments.common import (
     validate_seed,
     validate_sizes,
 )
-from repro.experiments.__main__ import main
+from repro.experiments.__main__ import _run_one, main
+from repro.experiments.registry import RunOptions
 from repro.news.deployment import build_newswire
 from repro.obs.manifest import manifest_schema_errors
 from repro.pubsub.subscription import Subscription
@@ -131,6 +137,17 @@ class TestBuildSystem:
         with pytest.raises(ConfigurationError):
             build_system(SystemSpec(num_nodes=10, subjects=()))
 
+    def test_columnar_backend_is_simulator_only(self):
+        with pytest.raises(ConfigurationError, match="simulator only"):
+            build_system(
+                SystemSpec(
+                    num_nodes=10,
+                    subjects=("a/b",),
+                    backend="columnar",
+                    runtime=object(),  # any live runtime
+                )
+            )
+
 
 class TestRunnerRegistry:
     def test_registry_covers_e1_to_e12(self):
@@ -192,6 +209,17 @@ class TestRunnerRegistry:
         assert payload["metrics"]["gossip.rounds"] > 0
         assert manifest_schema_errors(payload) == []
 
+    def test_failure_manifest_names_the_runners_own_error(self, tmp_path, capsys):
+        # In-process cells propagate exceptions unchanged, so the
+        # failure artifact says what went wrong, not "a cell failed".
+        bad = ExperimentConfig(quick=True, overrides={"sizes": ()})
+        with pytest.raises(ConfigurationError, match="sizes"):
+            _run_one(get_spec("e2"), bad, RunOptions(), tmp_path, tmp_path)
+        assert "[e2 failed; manifest ->" in capsys.readouterr().err
+        payload = json.loads((tmp_path / "e2.json").read_text())
+        assert payload["extra"]["error"]["type"] == "ConfigurationError"
+        assert manifest_schema_errors(payload) == []
+
     def test_check_invariants_manifest(self, tmp_path, capsys):
         assert main([
             "--quick", "--json", str(tmp_path), "--check-invariants", "e10",
@@ -203,3 +231,172 @@ class TestRunnerRegistry:
         block = payload["extra"]["invariants"]
         assert "no-duplicate-delivery" in block["checked"]
         assert block["violations"] == []
+
+
+def _run(capsys, tmp_path, *argv):
+    """One ``--quick --json`` CLI run of ``argv[0]``: exit code,
+    scrubbed stdout, stderr, and the manifest minus its wall-clock
+    fields.  Successive calls reuse the directory, so paths compare."""
+    json_dir = tmp_path / "manifests"
+    code = main([*argv, "--quick", "--json", str(json_dir)])
+    captured = capsys.readouterr()
+    manifest = json.loads((json_dir / f"{argv[0]}.json").read_text())
+    for field in ("started_at", "wall_time_s"):
+        manifest.pop(field)
+    out = re.sub(r"completed in [0-9.]+s", "completed in Xs", captured.out)
+    return code, out, captured.err, manifest
+
+
+class TestFlagMatrix:
+    """Every run-shaping flag, on a spec that takes what the flag needs
+    and on one that does not.  E1 (baselines only: no ``report``,
+    ``backend``, ``sink``, ``sinks``, ``metrics`` or cell plan) is the
+    spec that takes nothing: a flag it cannot honour leaves one note on
+    stderr and the run otherwise equal to the bare one.  (``--workers``
+    on specs with a cell plan is ``tests/parallel/test_equivalence.py``;
+    ``--check-invariants`` on one with sinks is
+    ``test_check_invariants_manifest`` above.)
+    """
+
+    @pytest.fixture(autouse=True)
+    def _scratch_cwd(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # traces/ and profile/ land here
+
+    @pytest.mark.parametrize(
+        "flags, needs",
+        [
+            (["--report"], "report"),
+            (["--backend", "columnar"], "backend"),
+            (["--sink", "streaming"], "sink"),
+            (["--sink", "jsonl"], "sinks"),
+            (["--workers", "2"], "cells"),
+        ],
+        ids=["report", "backend", "sink-streaming", "sink-jsonl", "workers"],
+    )
+    def test_flag_the_spec_cannot_honour_is_noted_once(
+        self, flags, needs, capsys, tmp_path
+    ):
+        bare = _run(capsys, tmp_path, "e1")
+        code, out, err, manifest = _run(capsys, tmp_path, "e1", *flags)
+        flag = " ".join(flags) if flags[1:] == ["jsonl"] else flags[0]
+        assert err == f"[e1 takes no {needs}; {flag} ignored]\n"
+        assert (code, out, "", manifest) == bare
+        assert not Path("traces").exists()
+
+    def test_check_invariants_without_sinks_says_so_in_the_report(
+        self, capsys, tmp_path
+    ):
+        # The verdict line is part of the printed report, so it stays on
+        # stdout (byte-identical to earlier releases), not a stderr note.
+        code, bare_out, _, bare_manifest = _run(capsys, tmp_path, "e1")
+        checked = _run(capsys, tmp_path, "e1", "--check-invariants")
+        note = "[e1 takes no sinks; invariant checking skipped]\n"
+        assert note not in bare_out
+        assert checked[1].replace(note, "") == bare_out
+        assert note in checked[1]
+        assert (checked[0], checked[2], checked[3]) == (code, "", bare_manifest)
+
+    def test_profile_without_a_registry_has_no_time_series(self, capsys, tmp_path):
+        _, bare_out, _, bare = _run(capsys, tmp_path, "e1")
+        code, out, err, manifest = _run(
+            capsys, tmp_path, "e1", "--profile", "--profile-dir", "prof"
+        )
+        assert (code, err) == (0, "")
+        assert out.startswith(bare_out.split("[e1 manifest")[0])
+        assert manifest["extra"].pop("profile")["events"] > 0
+        assert manifest == bare  # nothing else moved; no extra.timeseries
+        assert Path("prof/e1-profile.json").stat().st_size > 0
+        assert not Path("prof/e1-timeseries.jsonl").exists()
+
+    def test_profile_with_a_registry_records_per_cell_series(self, capsys, tmp_path):
+        code, out, err, manifest = _run(
+            capsys, tmp_path, "e10", "--profile", "--profile-dir", "prof"
+        )
+        assert (code, err) == (0, "")
+        assert manifest["extra"]["profile"]["events"] > 0
+        assert manifest["extra"]["timeseries"]["cells"] == ["e10/sim0"]
+        assert Path("prof/e10-timeseries.jsonl").stat().st_size > 0
+        assert "event-kernel profile" in out
+
+    def test_report_adds_causal_sections(self, capsys, tmp_path):
+        _, bare_out, _, bare = _run(capsys, tmp_path, "e12")
+        code, out, err, manifest = _run(capsys, tmp_path, "e12", "--report")
+        assert (code, err) == (0, "")
+        assert "causal report" not in bare_out
+        assert out.count("--- causal report (") == 4  # one per scheme
+        assert manifest["config"]["report"] is True
+        result = manifest["extra"]["result"]
+        assert len(result["causal_reports"]) == 4
+        assert result["rows"] == bare["extra"]["result"]["rows"]
+
+    @pytest.mark.parametrize(
+        "flags, parameter",
+        [(["--backend", "columnar"], "backend"), (["--sink", "streaming"], "sink")],
+        ids=["backend-columnar", "sink-streaming"],
+    )
+    def test_backend_and_sink_selectors_reach_the_runner(
+        self, flags, parameter, capsys, tmp_path
+    ):
+        code, out, err, manifest = _run(capsys, tmp_path, "e2", *flags)
+        assert (code, err) == (0, "")
+        assert manifest["config"][parameter] == flags[1]
+        rows = manifest["extra"]["result"]["rows"]
+        assert [row["delivered"] for row in rows] == [208, 828]  # as memory/object
+
+    def test_jsonl_spool_observes_without_displacing_the_primary(
+        self, capsys, tmp_path
+    ):
+        # Regression: the spool used to *replace* the MemorySink E10
+        # reads its deliveries from, zeroing the `inside` column.
+        bare = _run(capsys, tmp_path, "e10")
+        code, out, err, manifest = _run(capsys, tmp_path, "e10", "--sink", "jsonl")
+        trace_note = "[e10 trace -> traces/e10.jsonl]\n"
+        assert (code, out.replace(trace_note, ""), err, manifest) == bare
+        assert trace_note in out
+        rows = manifest["extra"]["result"]["rows"]
+        assert [row["delivered_inside"] for row in rows] == [120, 11, 40]
+        assert Path("traces/e10.jsonl").stat().st_size > 0
+
+    def test_jsonl_spool_and_invariant_suite_attach_together(self, capsys, tmp_path):
+        # Regression: --sink jsonl used to switch the suite off
+        # ("takes no sinks; invariant checking skipped", exit 0).
+        code, out, err, manifest = _run(
+            capsys, tmp_path, "e10", "--sink", "jsonl", "--check-invariants"
+        )
+        assert (code, err) == (0, "")
+        assert "[e10 invariants: clean]" in out
+        assert manifest["extra"]["invariants"]["checked"]
+        assert Path("traces/e10.jsonl").stat().st_size > 0
+
+    def test_jsonl_spool_refuses_worker_processes(self, capsys):
+        # Regression: used to run serially under a wrong "[e2 is not
+        # cell-decomposable]" note.
+        assert main(["e2", "--quick", "--sink", "jsonl", "--workers", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "--sink jsonl" in captured.err and "--workers" in captured.err
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert not Path("traces").exists()
+
+
+class TestImportFootprint:
+    def test_common_import_loads_no_executor_and_no_more_modules(self):
+        """``import repro.experiments.common`` sits inside every bench
+        workload's ``setup_s``: it must not start pulling in the
+        executor (``multiprocessing``), the testkit or the columnar
+        stack, nor grow past the 86 ``repro.*`` modules it loads today.
+        """
+        src = Path(__file__).resolve().parents[2] / "src"
+        probe = (
+            "import sys, repro.experiments.common; "
+            "print('\\n'.join(sorted(sys.modules)))"
+        )
+        loaded = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, check=True, timeout=120,
+        ).stdout.split()
+        ours = [name for name in loaded if name.split(".")[0] == "repro"]
+        for package in ("repro.parallel", "repro.testkit", "repro.scale"):
+            assert not [name for name in ours if name.startswith(package)]
+        assert "multiprocessing" not in loaded
+        assert len(ours) <= 86, ours

@@ -1,9 +1,10 @@
-"""Parallel-vs-serial equivalence: the tentpole acceptance pins.
+"""Worker-count equivalence: the tentpole acceptance pins.
 
 ``--workers 2`` must be byte-identical to ``--workers 1`` on the
-quick E2/E5 sweeps: same report text, same result payload, same
-manifest ``result``/``config`` blocks, same invariant verdicts.  Only
-wall-time/provenance fields may differ.
+decomposable quick sweeps (E2, E5, E7, E12): same report text, same
+result payload, same manifest ``result``/``config`` blocks, same
+invariant verdicts — and both equal to the plain ``spec.run`` call.
+Only wall-time/provenance fields may differ.
 """
 
 import contextlib
@@ -15,8 +16,8 @@ import re
 import pytest
 
 from repro.experiments.__main__ import main
-from repro.experiments.registry import ExperimentConfig, get_spec
-from repro.parallel import run_spec_parallel
+from repro.experiments.registry import ExperimentConfig, RunOptions, get_spec
+from repro.parallel import run_spec
 
 #: Manifest fields allowed to differ between the two runs.
 _PROVENANCE_FIELDS = ("wall_time_s", "started_at", "git_rev")
@@ -46,38 +47,38 @@ class TestSpecEquivalence:
         spec = get_spec(name)
         config = ExperimentConfig(quick=True)
         serial = spec.run(config)
-        parallel = run_spec_parallel(spec, config, workers=2)
+        parallel = run_spec(spec, config, RunOptions(workers=2))
         assert dataclasses.asdict(parallel.result) == dataclasses.asdict(serial)
         assert parallel.result.report() == serial.report()
 
     def test_cell_manifests_cover_every_cell(self):
         spec = get_spec("e5")
         config = ExperimentConfig(quick=True)
-        run = run_spec_parallel(spec, config, workers=2)
+        run = run_spec(spec, config, RunOptions(workers=2))
         cells = spec.plan_cells(config)
         assert [m["cell"] for m in run.cells] == [c.index for c in cells]
         assert [m["label"] for m in run.cells] == [c.label for c in cells]
 
 
 class TestCliEquivalence:
-    def test_workers_flag_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize("name", ["e2", "e5", "e7", "e12"])
+    def test_workers_flag_byte_identical(self, name, tmp_path):
         serial_dir = tmp_path / "serial"
         parallel_dir = tmp_path / "parallel"
-        code_serial, out_serial = _run_cli(
-            ["e5", "--quick", "--check-invariants", "--json", str(serial_dir)]
-        )
+        flags = [name, "--quick", "--report", "--check-invariants", "--json"]
+        code_serial, out_serial = _run_cli([*flags, str(serial_dir)])
         code_parallel, out_parallel = _run_cli(
-            [
-                "e5", "--quick", "--check-invariants",
-                "--json", str(parallel_dir), "--workers", "2",
-            ]
+            [*flags, str(parallel_dir), "--workers", "2"]
         )
         assert code_serial == code_parallel == 0
+        # The causal sections must survive the worker boundary, not be
+        # equal by both sides dropping them (E12 once did).
+        assert ("causal report" in out_parallel) == (name in ("e2", "e12"))
         assert out_serial.replace(str(serial_dir), "DIR") == (
             out_parallel.replace(str(parallel_dir), "DIR")
         )
-        serial_manifest = _load_scrubbed(serial_dir / "e5.json")
-        parallel_manifest = _load_scrubbed(parallel_dir / "e5.json")
+        serial_manifest = _load_scrubbed(serial_dir / f"{name}.json")
+        parallel_manifest = _load_scrubbed(parallel_dir / f"{name}.json")
         assert serial_manifest == parallel_manifest
 
     def test_workers_validation(self, capsys):

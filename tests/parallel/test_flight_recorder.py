@@ -9,28 +9,24 @@ not, so only counts are compared.
 
 import pytest
 
-from repro.experiments.registry import ExperimentConfig, get_spec
-from repro.parallel import run_spec_parallel
+from repro.experiments.registry import ExperimentConfig, RunOptions, get_spec
+from repro.parallel import run_spec
 
 
 def _flight_run(name, workers):
-    spec = get_spec(name)
-    config = ExperimentConfig(quick=True)
-    return run_spec_parallel(
-        spec,
-        config,
-        workers=workers,
-        want_metrics=True,
-        want_profile=True,
-        want_timeseries=True,
+    return run_spec(
+        get_spec(name),
+        ExperimentConfig(quick=True),
+        RunOptions(profile=True, workers=workers),
     )
 
 
 class TestTimeSeriesMergeEquivalence:
-    @pytest.mark.parametrize("name", ["e2", "e5"])
+    @pytest.mark.parametrize("name", ["e2", "e10"])
     def test_serial_vs_parallel_rows_identical(self, name):
         one = _flight_run(name, workers=1)
         two = _flight_run(name, workers=2)
+        assert list(one.timeseries.rows())
         assert list(one.timeseries.rows()) == list(two.timeseries.rows())
         assert [r.label for r in one.timeseries.recorders] == [
             r.label for r in two.timeseries.recorders
@@ -42,6 +38,15 @@ class TestTimeSeriesMergeEquivalence:
         cell_labels = [c.label for c in spec.plan_cells(ExperimentConfig(quick=True))]
         recorded = {r.label.split("/")[0] for r in run.timeseries.recorders}
         assert recorded <= set(cell_labels)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_registry_means_a_profile_but_no_series(self, workers):
+        # E5's cell runners take no ``metrics``, so there is nothing to
+        # sample: the flight recorder is the profiler alone.
+        run = _flight_run("e5", workers)
+        assert run.metrics is None
+        assert run.timeseries is None
+        assert run.profile.events > 0
 
 
 class TestProfileMergeEquivalence:
@@ -63,7 +68,7 @@ class TestProfileMergeEquivalence:
         config = ExperimentConfig(quick=True)
         import dataclasses
 
-        bare = run_spec_parallel(spec, config, workers=2)
+        bare = run_spec(spec, config, RunOptions(workers=2))
         instrumented = _flight_run("e2", workers=2)
         assert dataclasses.asdict(instrumented.result) == dataclasses.asdict(
             bare.result
