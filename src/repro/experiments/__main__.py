@@ -13,13 +13,16 @@ Usage::
 per experiment (seed, parameters, git revision, wall time, result
 payload) into ``DIR/<name>.json`` — the per-run provenance artifact.
 
-``--report`` asks the experiments that support causal tracing (E2,
-E11, E12) to attach a :class:`~repro.obs.causal.CausalSink`: their
-printed report gains critical-path / hop / loss-attribution sections
-and their manifests an ``extra.causal`` summary.  Like ``--backend``
-and ``--sink`` it maps to one runner parameter; an experiment without
-it runs unchanged under a ``[eN takes no <parameter>; <flag> ignored]``
-note on stderr.
+``--report`` gives every NewsWire system an experiment builds its own
+:class:`~repro.obs.causal.CausalSink`: after the printed report come
+critical-path / hop / loss-attribution sections headed ``--- causal
+report (<cell label>/sim<n>) ---``, and the manifest gains an
+``extra.causal`` summary under the same labels.  ``--check-invariants``
+and ``--sink jsonl`` attach the same way — where a trace is built — so
+all three apply to all twelve experiments.  ``--backend`` and ``--sink
+memory|streaming`` map to one runner parameter each; an experiment
+without it runs unchanged under a ``[eN takes no <parameter>; <flag>
+ignored]`` note on stderr.
 
 Every run is :func:`repro.parallel.run_spec` — plan cells, run them,
 merge.  ``--workers N`` fans the cells of each sweep-shaped experiment
@@ -86,8 +89,9 @@ def _run_one(
     here is byte-identical at any ``options.workers`` (modulo
     wall-time/provenance manifest fields).  Returns the wall time and
     any invariant violations (empty unless ``options.check_invariants``
-    attached a suite).  With ``options.profile`` the flight recorder's
-    table follows the report and its JSON/JSONL artifacts land in
+    attached suites).  With ``options.report`` each system's causal
+    report follows the result's own; with ``options.profile`` the flight
+    recorder's table comes next and its JSON/JSONL artifacts land in
     ``profile_dir``.
     """
     # Deferred: only a run needs the executor (and multiprocessing).
@@ -121,6 +125,9 @@ def _run_one(
     result = run.result
     print(result.report())
     extra = {}
+    for label, (summary, text) in run.causal.items():
+        print(f"\n--- causal report ({label}) ---\n\n{text}")
+        extra.setdefault("causal", {})[label] = summary
     if run.profile is not None:
         from repro.obs.profile import format_profile_report
 
@@ -133,15 +140,11 @@ def _run_one(
         )
         extra["profile"] = {"path": str(profile_path), **run.profile.summary(top=5)}
         print(f"[{spec.name} profile -> {profile_path}]")
-        if run.timeseries is not None:
-            series_path = run.timeseries.write_jsonl(
-                profile_dir / f"{spec.name}-timeseries.jsonl"
-            )
-            extra["timeseries"] = {"path": str(series_path), **run.timeseries.summary()}
-            print(f"[{spec.name} timeseries -> {series_path}]")
-    causal = getattr(result, "causal", None)
-    if causal is not None:
-        extra["causal"] = causal
+        series_path = run.timeseries.write_jsonl(
+            profile_dir / f"{spec.name}-timeseries.jsonl"
+        )
+        extra["timeseries"] = {"path": str(series_path), **run.timeseries.summary()}
+        print(f"[{spec.name} timeseries -> {series_path}]")
     if run.checked is not None:
         if run.violations:
             print(f"[{spec.name} invariants: {len(run.violations)} violation(s)]")
@@ -153,11 +156,9 @@ def _run_one(
             "checked": run.checked,
             "violations": [violation.as_dict() for violation in run.violations],
         }
-    elif options.check_invariants:
-        print(f"[{spec.name} takes no sinks; invariant checking skipped]")
     if path is not None:
         manifest.finish(
-            metrics=run.metrics.snapshot() if run.metrics is not None else None,
+            metrics=run.metrics.snapshot(),
             result=_result_payload(result),
             claim=spec.claim,
             **extra,
@@ -194,8 +195,8 @@ def main(argv: list[str]) -> int:
     parser.add_argument(
         "--report", action="store_true",
         help=(
-            "attach a CausalSink to experiments that support it (e2, "
-            "e11, e12): print critical-path / hop-count / loss-attribution "
+            "attach a CausalSink to every NewsWire system an experiment "
+            "builds: print critical-path / hop-count / loss-attribution "
             "sections and store extra.causal in --json manifests"
         ),
     )
@@ -218,15 +219,16 @@ def main(argv: list[str]) -> int:
             "aggregates; the default 'auto' uses memory below "
             "10,000 nodes and streaming at or above "
             "(repro.experiments.e2_latency.STREAMING_NODE_THRESHOLD). "
-            "'jsonl' keeps that primary and additionally spools raw "
-            "events to traces/<name>.jsonl (needs --workers 1)"
+            "'jsonl' keeps every experiment's own primary and "
+            "additionally spools raw events to traces/<name>.jsonl "
+            "(needs --workers 1)"
         ),
     )
     parser.add_argument(
         "--check-invariants", action="store_true",
         help=(
-            "attach the repro.testkit invariant suite to experiments "
-            "that accept sinks; print violations, store them under "
+            "attach a repro.testkit invariant suite to every trace an "
+            "experiment builds; print violations, store them under "
             "extra.invariants in --json manifests, and exit non-zero "
             "on any violation"
         ),
@@ -294,6 +296,7 @@ def main(argv: list[str]) -> int:
     config = ExperimentConfig(seed=args.seed, quick=args.quick)
     options = RunOptions(
         check_invariants=args.check_invariants,
+        report=args.report,
         profile=args.profile,
         workers=args.workers,
     )
@@ -302,13 +305,9 @@ def main(argv: list[str]) -> int:
     # no override act through the options; a spec that lacks what a
     # flag needs runs unchanged under a note.
     requested = []
-    if args.report:
-        requested.append(("--report", "report", True))
     if args.backend != "object":
         requested.append(("--backend", "backend", args.backend))
-    if args.sink == "jsonl":
-        requested.append(("--sink jsonl", "sinks", None))
-    elif args.sink != "auto":
+    if args.sink not in ("auto", "jsonl"):
         requested.append(("--sink", "sink", args.sink))
     if args.workers > 1:
         requested.append(("--workers", "cells", None))
@@ -326,7 +325,7 @@ def main(argv: list[str]) -> int:
                 overrides[needs] = value
         spec_options = options
         jsonl_sink = None
-        if args.sink == "jsonl" and "sinks" in takes:
+        if args.sink == "jsonl":
             from repro.obs.sinks import JsonlFileSink
 
             trace_path = Path("traces") / f"{spec.name}.jsonl"

@@ -10,7 +10,6 @@ from repro.core.errors import ConfigurationError, FlowControlError
 from repro.core.identifiers import ItemId, ZonePath
 from repro.news.deployment import NewsWireSystem, build_newswire
 from repro.news.item import NewsItem
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.sinks import TraceSink
 from repro.workloads.populations import InterestModel
 from repro.workloads.traces import Publication
@@ -80,7 +79,6 @@ class SystemSpec:
     publisher_rate: float = 50.0
     config: Optional[NewsWireConfig] = None
     sinks: Optional[Sequence[TraceSink]] = field(default=None, compare=False)
-    metrics: Optional[MetricsRegistry] = field(default=None, compare=False)
     #: Execution substrate: "sim" (default) builds the deterministic
     #: simulator; a :class:`repro.runtime.interface.Runtime` instance
     #: (e.g. AsyncioUdpRuntime) builds the same deployment on it with
@@ -139,7 +137,6 @@ def build_system(spec: SystemSpec) -> tuple:
         subscriptions_for=interests.subscriptions_for,
         seed=spec.seed,
         sinks=spec.sinks,
-        metrics=spec.metrics,
     )
     if spec.backend == "columnar":
         # Deferred: repro.scale pulls in the whole columnar stack,

@@ -20,7 +20,6 @@ zones).  Measured:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 from repro.core.config import NewsWireConfig
 from repro.core.identifiers import ZonePath
@@ -29,8 +28,6 @@ from repro.news.deployment import build_newswire
 from repro.pubsub.subscription import Subscription
 from repro.experiments.common import validate_positive, validate_seed
 from repro.experiments.registry import register
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.sinks import TraceSink
 
 
 @dataclass(frozen=True)
@@ -66,13 +63,7 @@ class E10Result:
     ),
     quick={"num_nodes": 120},
 )
-def run_e10(
-    *,
-    num_nodes: int = 240,
-    seed: int = 0,
-    sinks: Optional[Sequence[TraceSink]] = None,
-    metrics: Optional[MetricsRegistry] = None,
-) -> E10Result:
+def run_e10(*, num_nodes: int = 240, seed: int = 0) -> E10Result:
     validate_positive("num_nodes", num_nodes)
     validate_seed(seed)
     subject = "reuters/world"
@@ -95,8 +86,6 @@ def run_e10(
         publisher_rate=50.0,
         subscriptions_for=subscriptions,
         seed=seed,
-        sinks=sinks,
-        metrics=metrics,
     )
     system.run_for(2 * config.gossip.interval)
     publisher = system.publisher("reuters")

@@ -23,7 +23,6 @@ from typing import Optional, Sequence
 from repro.core.config import GossipConfig, MulticastConfig, NewsWireConfig
 from repro.metrics.report import format_table
 from repro.news.deployment import build_newswire
-from repro.obs.causal import CausalSink, format_causal_report
 from repro.pubsub.subscription import Subscription
 from repro.experiments.common import (
     validate_positive,
@@ -48,14 +47,9 @@ class E11Row:
 @dataclass
 class E11Result:
     rows: list[E11Row]
-    #: "<duration>s/buf<capacity>" -> CausalSink.summary() with
-    #: report=True (stored by the CLI under manifest ``extra.causal``).
-    causal: Optional[dict] = None
-    #: Rendered causal report per run, same order as ``rows``.
-    causal_text: Optional[list[str]] = None
 
     def report(self) -> str:
-        table = format_table(
+        return format_table(
             ["partition (s)", "repair buffer", "items", "cut nodes",
              "recovered", "recovery time (s)"],
             [
@@ -74,16 +68,6 @@ class E11Result:
                 "(bimodal: inside the window ~all, beyond it ~none)"
             ),
         )
-        if not self.causal_text:
-            return table
-        sections = [table]
-        for row, text in zip(self.rows, self.causal_text):
-            sections.append(
-                f"--- causal report (partition {row.partition_duration}s, "
-                f"buffer {row.repair_buffer}) ---"
-            )
-            sections.append(text)
-        return "\n\n".join(sections)
 
 
 @register(
@@ -102,28 +86,19 @@ def run_e11(
     buffer_capacities: Sequence[int] = (16, 256),
     publish_interval: float = 4.0,
     seed: int = 0,
-    report: bool = False,
 ) -> E11Result:
     validate_positive("num_nodes", num_nodes)
     validate_sizes("durations", durations)
     validate_sizes("buffer_capacities", buffer_capacities)
     validate_positive("publish_interval", publish_interval)
     validate_seed(seed)
-    rows: list[E11Row] = []
-    causal_summaries: dict = {}
-    causal_texts: list[str] = []
-    for duration in durations:
-        for capacity in buffer_capacities:
-            row, causal = _run_one(
-                num_nodes, duration, capacity, publish_interval, seed, report
-            )
-            rows.append(row)
-            if causal is not None:
-                causal_summaries[f"{duration}s/buf{capacity}"] = causal.summary()
-                causal_texts.append(format_causal_report(causal))
-    if not report:
-        return E11Result(rows)
-    return E11Result(rows, causal=causal_summaries, causal_text=causal_texts)
+    return E11Result(
+        [
+            _run_one(num_nodes, duration, capacity, publish_interval, seed)
+            for duration in durations
+            for capacity in buffer_capacities
+        ]
+    )
 
 
 def _run_one(
@@ -132,8 +107,7 @@ def _run_one(
     capacity: int,
     publish_interval: float,
     seed: int,
-    report: bool = False,
-) -> tuple[E11Row, Optional[CausalSink]]:
+) -> E11Row:
     config = NewsWireConfig(
         branching_factor=8,
         gossip=GossipConfig(interval=1.0, row_ttl_rounds=max(30, int(duration) + 20)),
@@ -145,9 +119,6 @@ def _run_one(
             cross_zone_repair_probability=0.25,
         ),
     )
-    # Sinks are transparent: attaching the causal sink cannot change
-    # the row values, only add the attribution view on top.
-    causal = CausalSink() if report else None
     system = build_newswire(
         num_nodes,
         config,
@@ -155,7 +126,6 @@ def _run_one(
         publisher_rate=50.0,
         subscriptions_for=lambda i: (Subscription(SUBJECT),),
         seed=seed,
-        sinks=[causal] if causal is not None else None,
     )
     system.run_for(3.0)
     publisher = system.publisher("reuters")
@@ -199,24 +169,13 @@ def _run_one(
         if recovery_time is None and final_ratio >= 0.99:
             recovery_time = now - heal_at
             break
-    if causal is not None:
-        # Every node subscribes to SUBJECT, so every node is expected
-        # to deliver every item published during the split — misses
-        # must be fully attributed (partitioned, or aged out and hence
-        # never repaired).
-        everyone = {str(node.node_id) for node in system.nodes}
-        for item in items:
-            causal.expect(str(item.item_id), everyone)
-    return (
-        E11Row(
-            partition_duration=duration,
-            repair_buffer=capacity,
-            items_during_partition=len(items),
-            cut_side_nodes=len(cut_nodes),
-            recovered_ratio=final_ratio,
-            recovery_time_s=recovery_time,
-        ),
-        causal,
+    return E11Row(
+        partition_duration=duration,
+        repair_buffer=capacity,
+        items_during_partition=len(items),
+        cut_side_nodes=len(cut_nodes),
+        recovered_ratio=final_ratio,
+        recovery_time_s=recovery_time,
     )
 
 

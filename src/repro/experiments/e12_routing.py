@@ -22,13 +22,11 @@ zero-false-negative property holds (tests/pubsub pin this).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.core.config import BloomConfig, NewsWireConfig
 from repro.metrics.report import format_table
-from repro.obs.causal import CausalSink, format_causal_report
-from repro.obs.sinks import MemorySink, TraceSink
 from repro.pubsub.engine import build_pubsub
 from repro.pubsub.schemes import (
     BloomScheme,
@@ -80,8 +78,6 @@ class E12Row:
 @dataclass
 class E12Result:
     rows: list[E12Row]
-    #: Rendered causal report per scheme (only with ``report=True``).
-    causal_reports: list[str] = field(default_factory=list)
 
     def _row(self, scheme: str) -> Optional[E12Row]:
         for row in self.rows:
@@ -126,8 +122,6 @@ class E12Result:
                     for r in stabilized
                 )
             )
-        for text in self.causal_reports:
-            sections.append(text)
         return "\n\n".join(sections)
 
 
@@ -143,12 +137,8 @@ def run_e12_cell(
     num_bits: int = 64,
     num_hashes: int = 2,
     seed: int = 0,
-    sinks: Optional[Sequence[TraceSink]] = None,
-    report: bool = False,
-) -> tuple[E12Row, Optional[str]]:
+) -> E12Row:
     """One scheme under the shared scenario — the parallel-executor unit.
-    Returns the measurement row plus a rendered causal report (None
-    unless ``report``).
 
     The Bloom geometry is deliberately tight (``num_bits``) with k=2
     hashes: the cross-member false positive subgrouping exists to cut
@@ -172,13 +162,6 @@ def run_e12_cell(
         bloom=BloomConfig(num_bits=num_bits, num_hashes=num_hashes),
     )
     the_scheme = _scheme_instance(scheme, config)
-    cell_sinks: list[TraceSink] = [
-        MemorySink(), *(sinks if sinks is not None else ())
-    ]
-    causal: Optional[CausalSink] = None
-    if report:
-        causal = CausalSink()
-        cell_sinks.append(causal)
     interests = InterestModel(
         subjects=subjects,
         subscriptions_per_node=subscriptions_per_node,
@@ -190,7 +173,6 @@ def run_e12_cell(
         scheme=the_scheme,
         subscriptions_for=interests.subscriptions_for,
         seed=seed,
-        sinks=cell_sinks,
     )
     deployment.run_rounds(2)
     publisher_node = deployment.agents[0]
@@ -243,12 +225,7 @@ def run_e12_cell(
             diverged += 1
     forwards = trace.count("forward")
     rejected = trace.count("rejected")
-    causal_text = None
-    if causal is not None:
-        causal_text = (
-            f"--- causal report ({scheme}) ---\n" + format_causal_report(causal)
-        )
-    row = E12Row(
+    return E12Row(
         scheme=scheme,
         forwards=forwards,
         filtered=trace.count("filtered"),
@@ -266,13 +243,10 @@ def run_e12_cell(
             round(rejected / forwards, 4) if forwards else 0.0
         ),
     )
-    return row, causal_text
 
 
 def _e12_cells(kwargs: dict) -> list[SweepCell]:
-    """One cell per scheme, each taking every ``run_e12`` parameter.
-    ``report`` rides along: a cell returns its causal report as
-    rendered text, which crosses a worker boundary."""
+    """One cell per scheme, each taking every ``run_e12`` parameter."""
     validate_seed(kwargs["seed"])
     return [
         SweepCell(
@@ -286,10 +260,7 @@ def _e12_cells(kwargs: dict) -> list[SweepCell]:
 
 
 def _e12_merge(kwargs: dict, results: list) -> "E12Result":
-    return E12Result(
-        rows=[row for row, _ in results],
-        causal_reports=[text for _, text in results if text],
-    )
+    return E12Result(rows=list(results))
 
 
 @register(
@@ -319,8 +290,6 @@ def run_e12(
     num_bits: int = 64,
     num_hashes: int = 2,
     seed: int = 0,
-    sinks: Optional[Sequence[TraceSink]] = None,
-    report: bool = False,
 ) -> E12Result:
     kwargs = dict(locals())  # the parameters, exactly as run_e12_cell takes them
     return _e12_merge(

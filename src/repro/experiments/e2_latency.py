@@ -39,9 +39,7 @@ from repro.experiments.registry import SweepCell, register
 from repro.metrics.collectors import collect_delivery_stats, delivery_ratio
 from repro.metrics.report import format_table
 from repro.metrics.stats import Summary
-from repro.obs.causal import CausalSink, format_causal_report
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.sinks import MemorySink, StreamingSink, TraceSink
+from repro.obs.sinks import MemorySink, StreamingSink
 from repro.workloads.scenarios import TECH_CATEGORIES, subjects_for
 from repro.workloads.traces import Publication
 
@@ -65,14 +63,9 @@ class E2Row:
 @dataclass
 class E2Result:
     rows: list[E2Row]
-    #: str(num_nodes) -> CausalSink.summary() when run with report=True
-    #: (what the run manifest stores under ``extra.causal``).
-    causal: Optional[dict] = None
-    #: Rendered causal report per sweep size, same order as ``rows``.
-    causal_text: Optional[list[str]] = None
 
     def report(self) -> str:
-        table = format_table(
+        return format_table(
             ["nodes", "items", "expected", "delivered", "ratio",
              "lat p50 (s)", "lat p90 (s)", "lat p99 (s)", "lat max (s)"],
             [
@@ -94,13 +87,6 @@ class E2Result:
                 "(paper claims tens of seconds at 10^5 subscribers)"
             ),
         )
-        if not self.causal_text:
-            return table
-        sections = [table]
-        for row, text in zip(self.rows, self.causal_text):
-            sections.append(f"--- causal report ({row.num_nodes} nodes) ---")
-            sections.append(text)
-        return "\n\n".join(sections)
 
 
 def _e2_cells(kwargs: dict) -> list[SweepCell]:
@@ -128,15 +114,7 @@ def _e2_cells(kwargs: dict) -> list[SweepCell]:
 
 
 def _e2_merge(kwargs: dict, results: list) -> "E2Result":
-    rows = [row for result in results for row in result.rows]
-    if not kwargs.get("report"):
-        return E2Result(rows)
-    causal: dict = {}
-    causal_texts: list[str] = []
-    for result in results:
-        causal.update(result.causal or {})
-        causal_texts.extend(result.causal_text or [])
-    return E2Result(rows, causal=causal, causal_text=causal_texts)
+    return E2Result([row for result in results for row in result.rows])
 
 
 @register(
@@ -160,9 +138,6 @@ def run_e2(
     drain_time: float = 30.0,
     seed: int = 0,
     config: Optional[NewsWireConfig] = None,
-    sinks: Optional[Sequence[TraceSink]] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    report: bool = False,
     backend: str = "object",
     sink: str = "auto",
 ) -> E2Result:
@@ -186,31 +161,16 @@ def run_e2(
         )
     subjects = subjects_for(("newswire",), TECH_CATEGORIES)
     rows: list[E2Row] = []
-    causal_summaries: dict = {}
-    causal_texts: list[str] = []
     for num_nodes in sizes:
         cfg = config if config is not None else NewsWireConfig()
-        # Each size gets its own fresh *primary* MemorySink: the row
-        # stats must cover only this size's events.  Caller sinks are
-        # fanned out to as well (they observe the whole sweep), but a
-        # shared caller MemorySink must never be the stats source — it
-        # would bleed the previous size's deliveries into this size's
-        # latency summary.  The causal sink is also per size: item
-        # keys repeat across sizes (same publisher, serials restart),
-        # so a shared sink would merge trees from different
-        # populations.  Sinks are transparent, so attaching one cannot
-        # change rows.
-        causal: Optional[CausalSink] = None
+        # Each size gets its own fresh *primary* sink: the row stats
+        # must cover only this size's events.  Observers attached by
+        # ``observed_traces`` ride behind it and are never the stats
+        # source — a shared MemorySink there would bleed the previous
+        # size's deliveries into this size's latency summary.
         use_streaming = sink == "streaming" or (
             sink == "auto" and num_nodes >= STREAMING_NODE_THRESHOLD
         )
-        primary: TraceSink = StreamingSink() if use_streaming else MemorySink()
-        size_sinks: list[TraceSink] = [
-            primary, *(sinks if sinks is not None else ())
-        ]
-        if report:
-            causal = CausalSink()
-            size_sinks.append(causal)
         # The per-size deployment seed varies while the interest seed
         # stays fixed — the historical (golden-fingerprinted) pattern.
         system, interests = build_system(
@@ -223,8 +183,7 @@ def run_e2(
                 publisher_names=("newswire",),
                 publisher_rate=50.0,
                 config=cfg,
-                sinks=size_sinks,
-                metrics=metrics,
+                sinks=[StreamingSink() if use_streaming else MemorySink()],
                 backend=backend,
             )
         )
@@ -256,16 +215,15 @@ def run_e2(
                 latency=stats.summary,
             )
         )
-        if causal is not None:
+        # The interest model's expectations, for the observers that take
+        # them: a columnar build records no per-node ``subscribe``
+        # events a causal sink could derive them from.
+        if system.trace.wants_expectations:
             for item, nodes in expected_delivery_nodes(
                 interests, system, trace, "newswire"
             ).items():
-                causal.expect(item, nodes)
-            causal_summaries[str(num_nodes)] = causal.summary()
-            causal_texts.append(format_causal_report(causal))
-    if not report:
-        return E2Result(rows)
-    return E2Result(rows, causal=causal_summaries, causal_text=causal_texts)
+                system.trace.expect(item, nodes)
+    return E2Result(rows)
 
 
 if __name__ == "__main__":

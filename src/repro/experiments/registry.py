@@ -15,10 +15,10 @@ one uniform protocol: an :class:`ExperimentConfig` says *what* to run
 (seed, quick flag, keyword overrides — every override validated
 against the runner's actual signature, so an unknown key is a
 :class:`ConfigurationError`, not a silent typo) and a
-:class:`RunOptions` says *how* (invariant suite, flight recorder,
-observer sinks, worker count).  Either way the outcome is the
-experiment's ``*Result`` object, which always carries a ``report()``
-method.
+:class:`RunOptions` says *how* (invariant suite, causal report,
+flight recorder, observer sinks, worker count).  Either way the
+outcome is the experiment's ``*Result`` object, which always carries a
+``report()`` method.
 
 Quick-mode parameters live on the spec itself instead of a parallel
 table of lambdas, so ``--quick`` and ``--list`` can never drift out of
@@ -48,15 +48,19 @@ class RunOptions:
     """How the harness runs an experiment — one value, applied to every
     spec alike by :func:`repro.parallel.run_spec`.
 
-    ``check_invariants`` attaches the :mod:`repro.testkit` invariant
-    suite and ``sinks`` any further observer sinks (the ``--sink jsonl``
-    spool) to each cell whose runner takes ``sinks``; ``profile``
-    attaches the flight recorder (kernel profiler, plus a time-series
-    sampler wherever the runner takes ``metrics``); ``workers`` is how
-    many processes the cells fan out over, one meaning in-process.
+    ``check_invariants`` gives every trace a cell builds its own
+    :mod:`repro.testkit` invariant suite, ``report`` its own
+    :class:`~repro.obs.causal.CausalSink`, and ``sinks`` are further
+    observers shared by all of them (the ``--sink jsonl`` spool) — all
+    attached where the trace is built
+    (:func:`repro.sim.trace.observed_traces`), so no runner declares
+    them; ``profile`` attaches the flight recorder (kernel profiler and
+    time-series sampler); ``workers`` is how many processes the cells
+    fan out over, one meaning in-process.
     """
 
     check_invariants: bool = False
+    report: bool = False
     profile: bool = False
     workers: int = 1
     sinks: Sequence[Any] = ()

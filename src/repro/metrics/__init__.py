@@ -3,7 +3,6 @@
 from repro.metrics.collectors import (
     DeliveryStats,
     NodeLoad,
-    collect_causal_summary,
     collect_delivery_stats,
     deliveries_per_item,
     delivery_latencies,
@@ -38,7 +37,6 @@ __all__ = [
     "rate_series",
     "sparkline",
     "cdf_points",
-    "collect_causal_summary",
     "collect_delivery_stats",
     "deliveries_per_item",
     "delivery_latencies",

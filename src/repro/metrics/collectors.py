@@ -175,16 +175,6 @@ def node_load(network: Network, node_id: NodeId) -> NodeLoad:
     )
 
 
-def collect_causal_summary(trace: TraceLog) -> Optional[Dict[str, object]]:
-    """The attached :class:`~repro.obs.causal.CausalSink`'s aggregate.
-
-    Returns ``None`` when no causal sink is attached — same shape the
-    experiment manifests store under ``extra.causal``.
-    """
-    sink = trace.causal_sink()
-    return sink.summary() if sink is not None else None
-
-
 def forwarding_efficiency(trace: TraceLog) -> Dict[str, int]:
     """Counter snapshot of the selective-forwarding machinery."""
     return {

@@ -682,12 +682,6 @@ class CausalSink:
         :meth:`expected_for`."""
         return self._expected.get(str(item))
 
-    def forget_item(self, item: str) -> None:
-        """Drop all derived state for ``item`` (a new publish
-        generation is starting — sweep experiments reuse item keys)."""
-        self.trees.pop(str(item), None)
-        self._expected.pop(str(item), None)
-
     def expected_for(self, item: str) -> Optional[Set[str]]:
         """Registered expectation for ``item``, else the derived one."""
         explicit = self._expected.get(item)

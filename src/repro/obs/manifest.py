@@ -183,7 +183,8 @@ _TOP_LEVEL_FIELDS = (
     ("extra", lambda v: isinstance(v, dict), "dict"),
 )
 
-#: Required scalar counters inside ``extra.causal`` (from CausalSink.summary).
+#: Required scalar counters inside each ``extra.causal`` summary (from
+#: CausalSink.summary).
 _CAUSAL_INT_FIELDS = ("items", "deliveries", "repaired")
 
 #: Required keys inside ``extra.causal.critical_path``.
@@ -209,8 +210,20 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _causal_block_errors(block: Any) -> list:
+    """Schema errors for ``extra.causal``: ``{label: summary}``, one
+    :meth:`CausalSink.summary` per system the run built."""
+    if not isinstance(block, dict):
+        return [f"extra.causal: expected dict, got {type(block).__name__}"]
+    return [
+        f"{error} (under {label!r})"
+        for label, summary in block.items()
+        for error in _causal_errors(summary)
+    ]
+
+
 def _causal_errors(causal: Any) -> list:
-    """Schema errors for the ``extra.causal`` summary block."""
+    """Schema errors for one ``CausalSink.summary()`` dict."""
     if not isinstance(causal, dict):
         return [f"extra.causal: expected dict, got {type(causal).__name__}"]
     errors = []
@@ -298,7 +311,7 @@ def manifest_schema_errors(raw: Mapping[str, Any]) -> list:
     extra = raw.get("extra")
     if isinstance(extra, dict):
         if "causal" in extra:
-            errors.extend(_causal_errors(extra["causal"]))
+            errors.extend(_causal_block_errors(extra["causal"]))
         if "invariants" in extra:
             errors.extend(_invariants_errors(extra["invariants"]))
     return errors

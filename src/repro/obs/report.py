@@ -1,4 +1,4 @@
-"""Reports from observability artifacts or live runs.
+"""Reports from observability artifacts.
 
 Usage::
 
@@ -9,9 +9,6 @@ Usage::
     python -m repro.obs.report --trace runs/trace.jsonl \
         --manifest runs/e2.json
 
-    # Run a causal-capable experiment in-process and report on it:
-    python -m repro.obs.report --run e2 --quick
-
     # Render a saved event-kernel profile (experiments --profile):
     python -m repro.obs.report --profile profile/e2-profile.json
 
@@ -21,7 +18,8 @@ Usage::
 Offline replays rebuild per-item dissemination trees with
 :meth:`repro.obs.causal.CausalSink.replay`; expected-delivery sets are
 derived from the trace's ``subscribe`` + ``publish`` events, so loss
-attribution works without the original interest model.
+attribution works without the original interest model.  (For the
+report of a fresh run: ``python -m repro.experiments NAME --report``.)
 
 Every artifact path is validated up front: a missing or corrupt file
 produces a one-line error and a nonzero exit, never a traceback.
@@ -95,25 +93,6 @@ def report_from_trace(
     return "\n".join(header) + "\n\n" + format_causal_report(sink, max_items)
 
 
-def report_from_run(name: str, quick: bool, seed: Optional[int]) -> str:
-    """Run experiment ``name`` in-process with causal tracing enabled."""
-    # Imported lazily: the experiments package pulls in every protocol
-    # layer, which a pure trace replay does not need.
-    from repro.core.errors import ConfigurationError
-    from repro.experiments.registry import ExperimentConfig, get_spec
-
-    spec = get_spec(name)
-    if "report" not in spec.parameters:
-        raise ConfigurationError(
-            f"experiment {name!r} has no causal tracing support; "
-            "use one of the report-capable experiments (e2, e11)"
-        )
-    config = ExperimentConfig(
-        seed=seed, quick=quick, overrides={"report": True}
-    )
-    return spec.run(config).report()
-
-
 def report_from_telemetry(path: Path) -> str:
     """Summarize a live-run telemetry JSONL per worker."""
     from repro.metrics.report import format_table
@@ -172,16 +151,12 @@ def report_from_profile(path: Path) -> str:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.report",
-        description="Causal dissemination report from a trace or a live run.",
+        description="Reports from trace, profile and telemetry artifacts.",
     )
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument(
         "--trace", metavar="FILE",
         help="JSONL trace artifact (JsonlFileSink output) to replay",
-    )
-    source.add_argument(
-        "--run", metavar="NAME",
-        help="run this experiment in-process with causal tracing (e2, e11)",
     )
     source.add_argument(
         "--profile", metavar="FILE",
@@ -194,14 +169,6 @@ def main(argv: list[str]) -> int:
     parser.add_argument(
         "--manifest", metavar="FILE", default=None,
         help="RunManifest JSON to print provenance from (with --trace)",
-    )
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="use the experiment's quick parameters (with --run)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None,
-        help="override the experiment seed (with --run)",
     )
     parser.add_argument(
         "--max-items", type=int, default=10,
@@ -229,7 +196,7 @@ def main(argv: list[str]) -> int:
                 print(f"no such profile file: {profile_path}", file=sys.stderr)
                 return 2
             print(report_from_profile(profile_path))
-        elif args.telemetry is not None:
+        else:
             telemetry_path = Path(args.telemetry)
             if not telemetry_path.exists():
                 print(
@@ -237,8 +204,6 @@ def main(argv: list[str]) -> int:
                 )
                 return 2
             print(report_from_telemetry(telemetry_path))
-        else:
-            print(report_from_run(args.run, args.quick, args.seed))
     except ReportError as exc:  # artifact problem: one line, nonzero exit
         print(f"error: {exc}", file=sys.stderr)
         return 2

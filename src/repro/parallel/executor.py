@@ -9,11 +9,12 @@ seed... or, for a spec without a planner, its whole runner).
 :func:`_execute_cell` runs one cell, instrumented as the run's
 :class:`~repro.experiments.registry.RunOptions` ask, into a
 :class:`CellOutcome` — result object, per-cell provenance, metrics
-registry, invariant violations, profile.  With one worker the cells run
-in this process; with more, each is shipped to a worker process over a
-task queue and its outcome streamed back over a result queue.  Either
-way the outcomes are reassembled in canonical cell order, so the merged
-result is independent of worker count and scheduling.
+registry, invariant violations, causal reports, profile.  With one
+worker the cells run in this process; with more, each is shipped to a
+worker process over a task queue and its outcome streamed back over a
+result queue.  Either way the outcomes are reassembled in canonical
+cell order, so the merged result is independent of worker count and
+scheduling.
 
 Determinism contract
 --------------------
@@ -35,7 +36,6 @@ Determinism contract
 
 from __future__ import annotations
 
-import inspect
 import multiprocessing
 import os
 import random
@@ -44,10 +44,12 @@ import traceback
 from contextlib import ExitStack
 from queue import Empty
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.registry import RunOptions, SweepCell
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.rng import derive_seed, derive_substream
+from repro.sim.trace import observed_traces
 
 #: How long the parent waits between liveness checks while collecting
 #: results; a dead worker with outstanding cells fails the run instead
@@ -75,16 +77,20 @@ class CellOutcome:
     index: int
     label: str
     result: Any = None
-    #: Per-cell metrics registry (when the runner takes ``metrics``).
+    #: The registry every trace the cell built counted into.
     metrics: Any = None
-    #: Checker names of the per-cell invariant suite; None when none
-    #: was attached (not asked for, or the runner takes no ``sinks``).
+    #: The invariant catalogue's checker names (with
+    #: ``options.check_invariants``; None when not asked for).
     checked: Optional[List[str]] = None
-    #: Invariant violations from that suite.
+    #: Violations from the per-trace suites, in construction order.
     violations: List[Any] = field(default_factory=list)
-    #: Per-cell kernel profiler (with ``options.profile``).
+    #: ``<cell label>/sim<n>`` -> (``CausalSink.summary()``, rendered
+    #: report) for the n-th trace the cell built, with
+    #: ``options.report``; a trace that saw no publish has no entry.
+    causal: Dict[str, Tuple[Dict[str, Any], str]] = field(default_factory=dict)
+    #: Per-cell kernel profiler and time-series bundle (with
+    #: ``options.profile``).
     profile: Any = None
-    #: Per-cell time-series bundle (``options.profile`` and a registry).
     timeseries: Any = None
     #: Lightweight per-cell provenance: derivation, cost, worker pid.
     manifest: Dict[str, Any] = field(default_factory=dict)
@@ -126,19 +132,26 @@ class SpecRun:
     metrics: Any = None
     profile: Any = None
     timeseries: Any = None
-    #: Invariant checker names, or None when no cell attached a suite.
+    #: Invariant checker names, or None when no suite was asked for.
     checked: Optional[List[str]] = None
     #: Violations concatenated in canonical cell order.
     violations: List[Any] = field(default_factory=list)
+    #: Every cell's :attr:`CellOutcome.causal` entries, canonical order.
+    causal: Dict[str, Tuple[Dict[str, Any], str]] = field(default_factory=dict)
     #: Per-cell provenance records, canonical order.
     cells: List[Dict[str, Any]] = field(default_factory=list)
 
 
-def _accepts(runner: Any, name: str) -> bool:
-    try:
-        return name in inspect.signature(runner).parameters
-    except (TypeError, ValueError):
-        return False
+def _one_per_trace(make: Callable[[], Any], made: List[Any]) -> Callable:
+    """An :func:`observed_traces` factory: each trace gets its own
+    ``make()``, kept in ``made`` in construction order.  Per trace
+    because item keys repeat across the systems one cell builds."""
+
+    def factory(trace) -> Any:
+        made.append(make())
+        return made[-1]
+
+    return factory
 
 
 def _execute_cell(
@@ -146,61 +159,63 @@ def _execute_cell(
 ) -> CellOutcome:
     """Run one cell in the current process, instrumented as ``options`` ask.
 
-    The one place a run gets its registry, invariant suite, profiler
-    and sampler.  All four observe from outside the event stream
-    (sinks are transparent, the flight recorder's dispatch monitors read
-    only wall time), so attaching them cannot change any cell's result
-    — pinned by the transparency and worker-count equivalence tests.
-    A raising runner propagates unchanged: in-process that keeps
-    ``KeyboardInterrupt`` and the runner's own error type intact; pool
-    workers format it in :func:`_worker_loop`.
+    The one place a run gets its registry, invariant suites, causal
+    sinks, spool, profiler and sampler — none through the runner's
+    signature: sinks and registry attach where a trace is built
+    (:func:`~repro.sim.trace.observed_traces`), profiler and sampler
+    where a simulation is
+    (:func:`~repro.sim.engine.monitored_simulations`).  All observe from
+    outside the event stream (sinks are transparent, the flight
+    recorder's dispatch monitors read only wall time), so attaching them
+    cannot change any cell's result — pinned by the transparency and
+    worker-count equivalence tests.  A raising runner propagates
+    unchanged: in-process that keeps ``KeyboardInterrupt`` and the
+    runner's own error type intact; pool workers format it in
+    :func:`_worker_loop`.
     """
     # Explicit re-seed, before the runner: protects determinism even if
     # some code path reaches for the module-level random stream.
     stream = derive_cell_stream(experiment, cell.index, seed)
     random.seed(stream)
     outcome = CellOutcome(index=cell.index, label=cell.label)
-    # Planned kwargs are resolved against the runner's defaults, so an
-    # unset ``metrics`` / ``sinks`` is present as None: test the value.
-    kwargs = dict(cell.kwargs)
-    if kwargs.get("metrics") is None and _accepts(cell.runner, "metrics"):
-        from repro.obs.metrics import MetricsRegistry
+    outcome.metrics = MetricsRegistry()
+    suites: List[Any] = []
+    causals: List[Any] = []
+    observers = [lambda trace, sink=sink: sink for sink in options.sinks]
+    if options.check_invariants:
+        from repro.testkit.invariants import InvariantSuite, default_checkers
 
-        kwargs["metrics"] = MetricsRegistry()
-    outcome.metrics = kwargs.get("metrics")
-    suite = None
-    if _accepts(cell.runner, "sinks"):
-        observers = list(options.sinks)
-        if options.check_invariants:
-            from repro.testkit.invariants import InvariantSuite
+        observers.append(_one_per_trace(InvariantSuite, suites))
+    if options.report:
+        from repro.obs.causal import CausalSink, format_causal_report
 
-            suite = InvariantSuite()
-            observers.insert(0, suite)
-        if observers:
-            # Observers ride behind a primary MemorySink, never in its
-            # place: collectors keep their event source.
-            from repro.obs.sinks import MemorySink
-
-            kwargs["sinks"] = [*(kwargs.get("sinks") or [MemorySink()]), *observers]
+        observers.append(_one_per_trace(CausalSink, causals))
     started = time.perf_counter()
     with ExitStack() as stack:
+        stack.enter_context(observed_traces(*observers, metrics=outcome.metrics))
         if options.profile:
             from repro.obs.profile import KernelProfiler, profile_simulations
+            from repro.obs.timeseries import record_simulations
 
             outcome.profile = KernelProfiler()
             stack.enter_context(profile_simulations(profiler=outcome.profile))
-            if outcome.metrics is not None:
-                from repro.obs.timeseries import record_simulations
-
-                outcome.timeseries = stack.enter_context(
-                    record_simulations(outcome.metrics, label=cell.label)
-                )
-        outcome.result = cell.runner(**kwargs)
-    if suite is not None:
-        # No live system here (runners tear theirs down): system-needing
+            outcome.timeseries = stack.enter_context(
+                record_simulations(outcome.metrics, label=cell.label)
+            )
+        outcome.result = cell.runner(**cell.kwargs)
+    if options.check_invariants:
+        # The catalogue, not "some suite was attached": a cell whose
+        # traces record nothing was still checked, vacuously.  No live
+        # system here (runners tear theirs down): system-needing
         # checkers skip; stream-level invariants still verdict.
-        outcome.checked = [checker.name for checker in suite.checkers]
-        outcome.violations = suite.finalize(None)
+        outcome.checked = [checker.name for checker in default_checkers()]
+        outcome.violations = [v for suite in suites for v in suite.finalize(None)]
+    # A baseline's trace never sees a publish: nothing to explain.
+    outcome.causal = {
+        f"{cell.label}/sim{ordinal}": (sink.summary(), format_causal_report(sink))
+        for ordinal, sink in enumerate(causals)
+        if sink.trees
+    }
     outcome.manifest = {
         "experiment": experiment,
         "cell": cell.index,
@@ -317,9 +332,9 @@ def run_spec(spec, config, options: RunOptions = RunOptions()) -> SpecRun:
     The one run path — a spec without a planner is a single cell, one
     worker is the in-process case.  Per-cell registries, profilers and
     time-series bundles fold in canonical order through their own
-    ``merge``, violations concatenate in canonical order, and the
-    merged result object is byte-identical to what ``spec.run(config)``
-    returns, at any worker count.
+    ``merge``, violations and causal reports concatenate in canonical
+    order, and the merged result object is byte-identical to what
+    ``spec.run(config)`` returns, at any worker count.
     """
     outcomes = run_cells(
         spec.plan_cells(config), options, experiment=spec.name, seed=config.seed
@@ -333,9 +348,10 @@ def run_spec(spec, config, options: RunOptions = RunOptions()) -> SpecRun:
             piece, merged = getattr(outcome, part), getattr(run, part)
             if merged is None:
                 setattr(run, part, piece)
-            elif piece is not None and piece is not merged:  # caller-shared
+            else:  # one options value: every cell has the part or none does
                 merged.merge(piece)
         if outcome.checked is not None:
             run.checked = outcome.checked
         run.violations.extend(outcome.violations)
+        run.causal.update(outcome.causal)
     return run

@@ -23,15 +23,55 @@ queue, so attaching them cannot perturb a fixed-seed run.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from functools import partial
-from typing import Any, Callable, Dict, Iterator, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Sequence
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sinks import MemorySink, StreamingSink, TraceBatch, TraceEvent, TraceSink
 
-__all__ = ["TraceEvent", "TraceLog"]
+__all__ = ["TraceEvent", "TraceLog", "observed_traces"]
 
 _EMPTY: tuple = ()
+
+#: Observer factories applied to, and the registry shared by, every
+#: :class:`TraceLog` built right now (see :func:`observed_traces`).
+_OBSERVER_FACTORIES: tuple = ()
+_OBSERVED_METRICS: Optional[MetricsRegistry] = None
+
+
+@contextmanager
+def observed_traces(
+    *factories: Callable[["TraceLog"], Optional[TraceSink]],
+    metrics: Optional[MetricsRegistry] = None,
+) -> Iterator[None]:
+    """Attach observer sinks to every :class:`TraceLog` built in this block.
+
+    The trace-side twin of :func:`repro.sim.engine.monitored_simulations`:
+    each factory is called as ``factory(trace)`` at construction time and
+    the sink it returns (None attaches nothing) is appended *behind* the
+    trace's own sinks, so collectors keep their primary.  Factories, not
+    instances, because one block may see several systems whose item keys
+    repeat (a sweep, an experiment's baselines); a factory that wants one
+    shared sink just returns it every time.  ``metrics`` becomes the
+    registry of every trace built without an explicit one.  Blocks nest,
+    and the previous state is restored even when the body raises.
+
+    This is how the cell executor instruments a run whose runner builds
+    its own systems; a caller that builds the system itself passes
+    ``sinks=`` / ``metrics=`` to the builder instead.  Sinks are
+    observers only (``tests/obs/test_sink_transparency.py``), so an
+    observed fixed-seed run stays byte-identical to a bare one.
+    """
+    global _OBSERVER_FACTORIES, _OBSERVED_METRICS
+    previous = _OBSERVER_FACTORIES, _OBSERVED_METRICS
+    _OBSERVER_FACTORIES += factories
+    if metrics is not None:
+        _OBSERVED_METRICS = metrics
+    try:
+        yield
+    finally:
+        _OBSERVER_FACTORIES, _OBSERVED_METRICS = previous
 
 
 def _emit_each(emit: Callable, kind: str, events: TraceBatch) -> None:
@@ -52,14 +92,22 @@ class TraceLog:
     ):
         """``kinds`` restricts recording to the given event kinds
         (``None`` records everything); ``sinks`` defaults to a single
-        :class:`MemorySink` (the historical behaviour)."""
+        :class:`MemorySink` (the historical behaviour).  Inside an
+        :func:`observed_traces` block the block's observers follow
+        ``sinks`` and its registry stands in for an unset ``metrics``."""
         self.sim = sim
         self.kinds = kinds
+        if metrics is None:
+            metrics = _OBSERVED_METRICS
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._counts: Dict[str, int] = {}
         self._sinks: list[TraceSink] = (
             [MemorySink()] if sinks is None else list(sinks)
         )
+        for factory in _OBSERVER_FACTORIES:
+            observer = factory(self)
+            if observer is not None:
+                self._sinks.append(observer)
         self._rebind()
 
     def _rebind(self) -> None:
@@ -96,14 +144,19 @@ class TraceLog:
                 return sink
         return None
 
-    def causal_sink(self):
-        """The first attached :class:`~repro.obs.causal.CausalSink`, if any."""
-        from repro.obs.causal import CausalSink
+    @property
+    def wants_expectations(self) -> bool:
+        """Whether any attached sink takes :meth:`expect` — a runner
+        checks this before deriving expectations nobody would read."""
+        return any(hasattr(sink, "expect") for sink in self._sinks)
 
+    def expect(self, item: str, nodes: Iterable[str]) -> None:
+        """Tell every attached sink that defines ``expect`` (a
+        ``CausalSink``, an ``InvariantSuite``) which nodes should
+        deliver ``item``."""
         for sink in self._sinks:
-            if isinstance(sink, CausalSink):
-                return sink
-        return None
+            if hasattr(sink, "expect"):
+                sink.expect(item, nodes)
 
     def close(self) -> None:
         """Close every sink (flushes file sinks)."""

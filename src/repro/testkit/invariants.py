@@ -134,10 +134,6 @@ class InvariantChecker:
     def finalize(self, causal: CausalSink, system: Optional[Any] = None) -> None:
         """End-of-run check; override in subclasses that need it."""
 
-    def forget_item(self, item: str) -> None:
-        """Drop per-item state: a new publish generation of ``item`` is
-        starting (sweep experiments reuse item keys across sizes)."""
-
     @property
     def ok(self) -> bool:
         return not self.violations
@@ -174,9 +170,6 @@ class NoDuplicateDelivery(InvariantChecker):
         else:
             nodes.add(node)
 
-    def forget_item(self, item: str) -> None:
-        self._delivered.pop(item, None)
-
     def clear(self) -> None:
         super().clear()
         self._delivered.clear()
@@ -208,9 +201,6 @@ class ScopedDeliveryOnly(InvariantChecker):
                     time=time,
                     scope=scope,
                 )
-
-    def forget_item(self, item: str) -> None:
-        self._scopes.pop(item, None)
 
     def clear(self) -> None:
         super().clear()
@@ -585,15 +575,6 @@ class InvariantSuite:
     # -- TraceSink protocol ----------------------------------------------
 
     def emit(self, time: float, kind: str, fields: Mapping[str, Any]) -> None:
-        if kind == "publish":
-            # A repeated publish of the same item key starts a new
-            # generation (sweep experiments rebuild the system per size
-            # and reuse serials); stale state would cross-contaminate.
-            item = str(fields.get("item", ""))
-            if item and item in self.causal.trees:
-                self.causal.forget_item(item)
-                for checker in self.checkers:
-                    checker.forget_item(item)
         self.causal.emit(time, kind, fields)
         for checker in self.checkers:
             checker.emit(time, kind, fields)

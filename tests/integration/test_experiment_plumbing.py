@@ -248,14 +248,14 @@ def _run(capsys, tmp_path, *argv):
 
 
 class TestFlagMatrix:
-    """Every run-shaping flag, on a spec that takes what the flag needs
-    and on one that does not.  E1 (baselines only: no ``report``,
-    ``backend``, ``sink``, ``sinks``, ``metrics`` or cell plan) is the
-    spec that takes nothing: a flag it cannot honour leaves one note on
-    stderr and the run otherwise equal to the bare one.  (``--workers``
-    on specs with a cell plan is ``tests/parallel/test_equivalence.py``;
-    ``--check-invariants`` on one with sinks is
-    ``test_check_invariants_manifest`` above.)
+    """Every run-shaping flag.  ``--check-invariants``, ``--report`` and
+    ``--sink jsonl`` attach where a trace is built, so they apply to
+    every spec — E1 (baselines only) is the vacuous case, E9 the
+    several-systems-in-one-cell case.  ``--backend``, ``--sink
+    memory|streaming`` and ``--workers`` need something of the spec: on
+    E1, which has none of it, each leaves one note on stderr and the
+    run otherwise equal to the bare one.  (``--workers`` on specs with
+    a cell plan is ``tests/parallel/test_equivalence.py``.)
     """
 
     @pytest.fixture(autouse=True)
@@ -265,57 +265,52 @@ class TestFlagMatrix:
     @pytest.mark.parametrize(
         "flags, needs",
         [
-            (["--report"], "report"),
             (["--backend", "columnar"], "backend"),
             (["--sink", "streaming"], "sink"),
-            (["--sink", "jsonl"], "sinks"),
             (["--workers", "2"], "cells"),
         ],
-        ids=["report", "backend", "sink-streaming", "sink-jsonl", "workers"],
+        ids=["backend", "sink-streaming", "workers"],
     )
     def test_flag_the_spec_cannot_honour_is_noted_once(
         self, flags, needs, capsys, tmp_path
     ):
         bare = _run(capsys, tmp_path, "e1")
         code, out, err, manifest = _run(capsys, tmp_path, "e1", *flags)
-        flag = " ".join(flags) if flags[1:] == ["jsonl"] else flags[0]
-        assert err == f"[e1 takes no {needs}; {flag} ignored]\n"
+        assert err == f"[e1 takes no {needs}; {flags[0]} ignored]\n"
         assert (code, out, "", manifest) == bare
         assert not Path("traces").exists()
 
-    def test_check_invariants_without_sinks_says_so_in_the_report(
+    def test_observers_on_a_spec_without_a_newswire_are_vacuous(
         self, capsys, tmp_path
     ):
-        # The verdict line is part of the printed report, so it stays on
-        # stdout (byte-identical to earlier releases), not a stderr note.
-        code, bare_out, _, bare_manifest = _run(capsys, tmp_path, "e1")
-        checked = _run(capsys, tmp_path, "e1", "--check-invariants")
-        note = "[e1 takes no sinks; invariant checking skipped]\n"
-        assert note not in bare_out
-        assert checked[1].replace(note, "") == bare_out
-        assert note in checked[1]
-        assert (checked[0], checked[2], checked[3]) == (code, "", bare_manifest)
-
-    def test_profile_without_a_registry_has_no_time_series(self, capsys, tmp_path):
-        _, bare_out, _, bare = _run(capsys, tmp_path, "e1")
+        # E1's baseline traces record nothing: the catalogue still
+        # verdicts (clean), there is nothing to explain, the spool is empty.
+        bare_code, bare_out, _, bare = _run(capsys, tmp_path, "e1")
         code, out, err, manifest = _run(
-            capsys, tmp_path, "e1", "--profile", "--profile-dir", "prof"
+            capsys, tmp_path, "e1", "--check-invariants", "--report", "--sink", "jsonl"
         )
-        assert (code, err) == (0, "")
-        assert out.startswith(bare_out.split("[e1 manifest")[0])
-        assert manifest["extra"].pop("profile")["events"] > 0
-        assert manifest == bare  # nothing else moved; no extra.timeseries
-        assert Path("prof/e1-profile.json").stat().st_size > 0
-        assert not Path("prof/e1-timeseries.jsonl").exists()
+        for note in ("[e1 invariants: clean]\n", "[e1 trace -> traces/e1.jsonl]\n"):
+            assert out.count(note) == 1
+            out = out.replace(note, "")
+        assert (code, out, err) == (bare_code, bare_out, "")
+        assert len(manifest["extra"].pop("invariants")["checked"]) == 8
+        assert manifest == bare and "causal" not in manifest["extra"]
+        assert Path("traces/e1.jsonl").stat().st_size == 0
 
-    def test_profile_with_a_registry_records_per_cell_series(self, capsys, tmp_path):
+    @pytest.mark.parametrize("name", ["e1", "e10"])
+    def test_profile_with_a_registry_records_per_cell_series(
+        self, name, capsys, tmp_path
+    ):
+        # Every cell owns a registry, so every spec gets series — E1,
+        # whose baselines register no instrument, still one recorder.
         code, out, err, manifest = _run(
-            capsys, tmp_path, "e10", "--profile", "--profile-dir", "prof"
+            capsys, tmp_path, name, "--profile", "--profile-dir", "prof"
         )
         assert (code, err) == (0, "")
         assert manifest["extra"]["profile"]["events"] > 0
-        assert manifest["extra"]["timeseries"]["cells"] == ["e10/sim0"]
-        assert Path("prof/e10-timeseries.jsonl").stat().st_size > 0
+        assert manifest["extra"]["timeseries"]["cells"] == [f"{name}/sim0"]
+        assert Path(f"prof/{name}-profile.json").stat().st_size > 0
+        assert Path(f"prof/{name}-timeseries.jsonl").exists()
         assert "event-kernel profile" in out
 
     def test_report_adds_causal_sections(self, capsys, tmp_path):
@@ -323,11 +318,48 @@ class TestFlagMatrix:
         code, out, err, manifest = _run(capsys, tmp_path, "e12", "--report")
         assert (code, err) == (0, "")
         assert "causal report" not in bare_out
-        assert out.count("--- causal report (") == 4  # one per scheme
-        assert manifest["config"]["report"] is True
-        result = manifest["extra"]["result"]
-        assert len(result["causal_reports"]) == 4
-        assert result["rows"] == bare["extra"]["result"]["rows"]
+        labels = [f"scheme:{row['scheme']}/sim0" for row in bare["extra"]["result"]["rows"]]
+        assert re.findall(r"--- causal report \((.*)\) ---", out) == labels
+        assert list(manifest["extra"].pop("causal")) == labels
+        assert manifest == bare  # the result and config blocks never see the flag
+
+    def test_report_labels_every_system_of_one_cell(self, capsys, tmp_path):
+        # E9 builds four systems in its one cell; item keys repeat
+        # across them, so each needs its own sink to come out whole.
+        code, out, err, manifest = _run(
+            capsys, tmp_path, "e9", "--report", "--check-invariants"
+        )
+        assert (code, err) == (0, "")
+        labels = [f"e9/sim{n}" for n in range(4)]
+        assert re.findall(r"--- causal report \((.*)\) ---", out) == labels
+        assert list(manifest["extra"]["causal"]) == labels
+        for summary in manifest["extra"]["causal"].values():
+            assert summary["losses"]["expected"] > 0
+            assert summary["losses"]["missing"] == 0
+        assert "[e9 invariants: clean]" in out
+
+    @pytest.mark.parametrize("name", ["e7", "e11"])
+    def test_robustness_experiments_are_checked_and_explained(
+        self, name, capsys, tmp_path
+    ):
+        # The paper's robustness claims live in E4/E7/E11 — the specs
+        # that could be neither checked nor explained before.
+        code, out, err, manifest = _run(
+            capsys, tmp_path, name, "--report", "--check-invariants"
+        )
+        assert (code, err) == (0, "")
+        assert f"[{name} invariants: clean]" in out
+        assert manifest_schema_errors(
+            {**manifest, "started_at": "", "wall_time_s": 0.0}
+        ) == []
+        causal = manifest["extra"]["causal"]
+        assert len(causal) == len(manifest["extra"]["result"]["rows"])
+        for summary in causal.values():
+            losses = summary["losses"]
+            assert losses["expected"] > 0
+            assert sum(losses["attributed"].values()) == losses["missing"]
+        if name == "e7":  # crashed representatives: real, explained misses
+            assert all(s["losses"]["missing"] > 0 for s in causal.values())
 
     @pytest.mark.parametrize(
         "flags, parameter",
@@ -359,7 +391,7 @@ class TestFlagMatrix:
 
     def test_jsonl_spool_and_invariant_suite_attach_together(self, capsys, tmp_path):
         # Regression: --sink jsonl used to switch the suite off
-        # ("takes no sinks; invariant checking skipped", exit 0).
+        # (an "invariant checking skipped" verdict, exit 0).
         code, out, err, manifest = _run(
             capsys, tmp_path, "e10", "--sink", "jsonl", "--check-invariants"
         )

@@ -15,6 +15,7 @@ from repro.news.deployment import build_newswire
 from repro.obs.causal import CausalSink, format_causal_report
 from repro.obs.sinks import JsonlFileSink
 from repro.pubsub.subscription import Subscription
+from repro.sim.trace import observed_traces
 
 
 def feed(sink, events):
@@ -214,16 +215,16 @@ class TestLossAttribution:
         """E11-style run: every genuine miss lands in exactly one class."""
         from repro.experiments.e11_partition import run_e11
 
-        result = run_e11(
-            num_nodes=32,
-            durations=(24.0,),
-            buffer_capacities=(2,),
-            publish_interval=3.0,
-            seed=3,
-            report=True,
-        )
-        (summary,) = result.causal.values()
-        losses = summary["losses"]
+        causal = CausalSink()
+        with observed_traces(lambda trace: causal):
+            run_e11(
+                num_nodes=32,
+                durations=(24.0,),
+                buffer_capacities=(2,),
+                publish_interval=3.0,
+                seed=3,
+            )
+        losses = causal.summary()["losses"]
         # The tiny repair buffer ages items out during the partition,
         # so this run has real, unrecovered misses...
         assert losses["missing"] > 0

@@ -122,11 +122,30 @@ class TestManifestSchema:
         assert manifest_schema_errors(["not", "a", "dict"])
 
     def test_causal_summary_shape_accepted(self):
-        # The real producer: extra.causal in CLI manifests is exactly
-        # CausalSink.summary() (even with no events, the shape is full).
+        # The producer's shape: extra.causal in CLI manifests maps each
+        # observed system's label to its CausalSink.summary() (even with
+        # no events, the summary's shape is full).
         raw = _valid_manifest_dict()
-        raw["extra"]["causal"] = CausalSink().summary()
+        raw["extra"]["causal"] = {
+            "nodes=100/sim0": CausalSink().summary(),
+            "nodes=400/sim0": CausalSink().summary(),
+        }
         assert manifest_schema_errors(raw) == []
+        raw["extra"]["causal"] = CausalSink().summary()  # flat: not that shape
+        assert manifest_schema_errors(raw)
+
+    @pytest.mark.parametrize("name", ["e2", "e12"])
+    def test_real_report_manifest_passes_schema(self, name, tmp_path, capsys):
+        # The real producer (e2 failed, e12 stored no extra.causal at all).
+        from repro.experiments.__main__ import main
+
+        assert main([name, "--quick", "--report", "--json", str(tmp_path)]) == 0
+        capsys.readouterr()
+        raw = json.loads((tmp_path / f"{name}.json").read_text())
+        assert manifest_schema_errors(raw) == []
+        causal = raw["extra"]["causal"]
+        assert len(causal) == len(raw["extra"]["result"]["rows"])
+        assert all(summary["deliveries"] > 0 for summary in causal.values())
 
     @pytest.mark.parametrize(
         "mutate, fragment",
@@ -146,7 +165,7 @@ class TestManifestSchema:
         raw = _valid_manifest_dict()
         causal = CausalSink().summary()
         mutate(causal)
-        raw["extra"]["causal"] = causal
+        raw["extra"]["causal"] = {"e10/sim0": causal}
         errors = manifest_schema_errors(raw)
         assert any(fragment in error for error in errors), errors
 

@@ -12,8 +12,11 @@ byte-identical comparison keeps a MemorySink in the mix.
 import pytest
 
 from repro.experiments.e2_latency import run_e2
+from repro.experiments.registry import ExperimentConfig, RunOptions, get_spec
 from repro.obs.causal import CausalSink
-from repro.obs.sinks import JsonlFileSink, MemorySink, StreamingSink
+from repro.obs.sinks import JsonlFileSink, StreamingSink
+from repro.parallel import run_spec
+from repro.sim.trace import observed_traces
 
 E2_KWARGS = dict(
     sizes=(48,),
@@ -45,10 +48,8 @@ class TestSinkTransparency:
     def test_extra_sinks_do_not_perturb_run(self, tmp_path):
         baseline = run_e2(**E2_KWARGS)
         with JsonlFileSink(tmp_path / "run.jsonl") as jsonl:
-            observed = run_e2(
-                **E2_KWARGS,
-                sinks=[MemorySink(), StreamingSink(), jsonl],
-            )
+            with observed_traces(lambda trace: StreamingSink(), lambda trace: jsonl):
+                observed = run_e2(**E2_KWARGS)
         assert fingerprint(observed) == fingerprint(baseline)
         # The file sink actually saw the traffic it was asked to record.
         assert jsonl.lines_written > 0
@@ -61,7 +62,8 @@ class TestSinkTransparency:
         """
         baseline = run_e2(**E2_KWARGS)
         sink = StreamingSink()
-        observed = run_e2(**E2_KWARGS, sinks=[sink])
+        with observed_traces(lambda trace: sink):
+            observed = run_e2(**E2_KWARGS)
 
         base_row, obs_row = baseline.rows[0], observed.rows[0]
         assert obs_row.expected == base_row.expected
@@ -80,7 +82,8 @@ class TestSinkTransparency:
         """CausalSink rebuilds dissemination trees without touching the run."""
         baseline = run_e2(**E2_KWARGS)
         causal = CausalSink()
-        observed = run_e2(**E2_KWARGS, sinks=[MemorySink(), causal])
+        with observed_traces(lambda trace: causal):
+            observed = run_e2(**E2_KWARGS)
         assert fingerprint(observed) == fingerprint(baseline)
         # The sink actually reconstructed the dissemination it watched.
         assert causal.events_seen > 0
@@ -92,18 +95,20 @@ class TestSinkTransparency:
     def test_causal_alongside_streaming_does_not_perturb_run(self):
         baseline = run_e2(**E2_KWARGS)
         causal = CausalSink()
-        observed = run_e2(
-            **E2_KWARGS,
-            sinks=[MemorySink(), StreamingSink(), causal],
-        )
+        with observed_traces(lambda trace: StreamingSink(), lambda trace: causal):
+            observed = run_e2(**E2_KWARGS)
         assert fingerprint(observed) == fingerprint(baseline)
         assert causal.events_seen > 0
 
     def test_report_mode_does_not_perturb_run(self):
-        """``report=True`` only attaches a sink; rows stay byte-identical."""
+        """``RunOptions(report=True)`` only attaches a sink per trace;
+        rows stay byte-identical."""
         baseline = run_e2(**E2_KWARGS)
-        observed = run_e2(**E2_KWARGS, report=True)
-        assert fingerprint(observed) == fingerprint(baseline)
-        assert observed.causal is not None
-        summary = observed.causal[str(E2_KWARGS["sizes"][0])]
+        observed = run_spec(
+            get_spec("e2"),
+            ExperimentConfig(overrides=E2_KWARGS),
+            RunOptions(report=True),
+        )
+        assert fingerprint(observed.result) == fingerprint(baseline)
+        ((summary, _text),) = observed.causal.values()
         assert summary["deliveries"] == baseline.rows[0].delivered

@@ -73,7 +73,7 @@ class TestCliEquivalence:
         assert code_serial == code_parallel == 0
         # The causal sections must survive the worker boundary, not be
         # equal by both sides dropping them (E12 once did).
-        assert ("causal report" in out_parallel) == (name in ("e2", "e12"))
+        assert "causal report" in out_parallel
         assert out_serial.replace(str(serial_dir), "DIR") == (
             out_parallel.replace(str(parallel_dir), "DIR")
         )

@@ -25,6 +25,7 @@ from repro.obs.sinks import MemorySink, StreamingSink
 from repro.pubsub.subscription import Subscription
 from repro.scale.backend import build_columnar, canonical_digest, canonical_trace
 from repro.sim.rng import derive_substream, substream_table
+from repro.sim.trace import observed_traces
 from repro.testkit.invariants import InvariantSuite
 from repro.workloads.populations import InterestModel
 
@@ -85,7 +86,8 @@ class TestE2Equivalence:
         fingerprints = {}
         for backend in ("object", "columnar"):
             sink = MemorySink()
-            result = run_e2(sinks=[sink], backend=backend, **kwargs)
+            with observed_traces(lambda trace: sink):
+                result = run_e2(backend=backend, **kwargs)
             digests[backend] = canonical(sink)
             row = result.rows[0]
             fingerprints[backend] = (row.expected, row.delivered, row.ratio)
@@ -96,7 +98,8 @@ class TestE2Equivalence:
         verdicts = {}
         for backend in ("object", "columnar"):
             suite = InvariantSuite()
-            run_e2(sinks=[suite], backend=backend, **E2_SMALL_KWARGS)
+            with observed_traces(lambda trace: suite):
+                run_e2(backend=backend, **E2_SMALL_KWARGS)
             verdicts[backend] = [str(v) for v in suite.finalize(None)]
         assert verdicts["object"] == verdicts["columnar"] == []
 
@@ -104,13 +107,11 @@ class TestE2Equivalence:
         """PR 9's transparency pin, extended: the full invariant suite
         riding along cannot perturb a columnar fixed-seed run."""
         bare = MemorySink()
-        run_e2(sinks=[bare], backend="columnar", **E2_SMALL_KWARGS)
+        with observed_traces(lambda trace: bare):
+            run_e2(backend="columnar", **E2_SMALL_KWARGS)
         observed = MemorySink()
-        run_e2(
-            sinks=[observed, InvariantSuite()],
-            backend="columnar",
-            **E2_SMALL_KWARGS,
-        )
+        with observed_traces(lambda trace: observed, lambda trace: InvariantSuite()):
+            run_e2(backend="columnar", **E2_SMALL_KWARGS)
         assert canonical(bare) == canonical(observed) == E2_SMALL_DIGEST
 
     def test_streaming_sink_preserves_counts(self):
@@ -120,12 +121,10 @@ class TestE2Equivalence:
             sink="memory", backend="columnar", **E2_SMALL_KWARGS
         ).rows
         stream = StreamingSink()
-        streaming_rows = run_e2(
-            sink="streaming",
-            backend="columnar",
-            sinks=[stream],
-            **E2_SMALL_KWARGS,
-        ).rows
+        with observed_traces(lambda trace: stream):
+            streaming_rows = run_e2(
+                sink="streaming", backend="columnar", **E2_SMALL_KWARGS
+            ).rows
         assert memory_rows[0].delivered == streaming_rows[0].delivered
         assert memory_rows[0].ratio == streaming_rows[0].ratio
         assert stream.retained_events == 0

@@ -1,8 +1,13 @@
 """Tests for trace logging and RNG registry."""
 
+import pytest
+
+from repro.obs.causal import CausalSink
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.sinks import MemorySink, StreamingSink
 from repro.sim.engine import Simulation
 from repro.sim.rng import RngRegistry, derive_seed
-from repro.sim.trace import TraceLog
+from repro.sim.trace import TraceLog, observed_traces
 
 
 class TestTraceLog:
@@ -47,7 +52,6 @@ class TestTraceLog:
         assert event.as_dict() == {"a": 1}
 
     def test_getitem_missing_raises(self):
-        import pytest
         sim = Simulation()
         trace = TraceLog(sim)
         trace.record("e", a=1)
@@ -64,8 +68,6 @@ class TestTraceLog:
 
     def test_clear_resets_sinks_attached_mid_run(self):
         """``clear()`` must reach sinks added *after* construction too."""
-        from repro.obs.sinks import StreamingSink
-
         sim = Simulation()
         trace = TraceLog(sim)
         trace.record("deliver", node="/n0", item="i0", latency=0.1)
@@ -84,13 +86,10 @@ class TestTraceLog:
         assert streaming.deliveries_per_item == {"i1": 1}
 
     def test_clear_resets_causal_sink(self):
-        from repro.obs.causal import CausalSink
-
         sim = Simulation()
         trace = TraceLog(sim)
         causal = trace.add_sink(CausalSink())
         trace.record("publish", node="/p", item="i", subject="s")
-        assert trace.causal_sink() is causal
         trace.clear()
         assert causal.trees == {}
         assert causal.events_seen == 0
@@ -101,6 +100,72 @@ class TestTraceLog:
         trace.record("a")
         trace.record("b")
         assert len(list(trace.events())) == 2
+
+
+class TestObservedTraces:
+    def test_observers_land_behind_the_primary_sink(self):
+        made = []
+
+        def factory(trace):
+            made.append((trace, StreamingSink()))
+            return made[-1][1]
+
+        with observed_traces(factory):
+            default = TraceLog(Simulation())
+            explicit = TraceLog(Simulation(), sinks=[StreamingSink()])
+        assert [trace for trace, _ in made] == [default, explicit]
+        assert isinstance(default.sinks[0], MemorySink)
+        assert default.sinks[1:] == (made[0][1],)
+        assert explicit.sinks[1:] == (made[1][1],)
+        # Collectors keep reading the trace's own sink, not the observer.
+        assert default.memory_sink() is default.sinks[0]
+        assert explicit.streaming_sink() is explicit.sinks[0]
+        default.record("deliver", node="/a", item="i", latency=0.1)
+        assert made[0][1].count("deliver") == 1
+        assert made[1][1].count("deliver") == 0
+
+    def test_a_factory_may_decline_and_outside_the_block_nothing_attaches(self):
+        with observed_traces(lambda trace: None):
+            assert len(TraceLog(Simulation()).sinks) == 1
+        sink = StreamingSink()
+        with observed_traces(lambda trace: sink):
+            pass
+        outside = TraceLog(Simulation())
+        outside.record("deliver", node="/a", item="i", latency=0.1)
+        assert len(outside.sinks) == 1
+        assert sink.events_seen == 0
+
+    def test_blocks_nest_and_restore_on_exception(self):
+        outer, inner = StreamingSink(), StreamingSink()
+        with observed_traces(lambda trace: outer):
+            with pytest.raises(RuntimeError):
+                with observed_traces(lambda trace: inner):
+                    assert TraceLog(Simulation()).sinks[1:] == (outer, inner)
+                    raise RuntimeError("boom")
+            assert TraceLog(Simulation()).sinks[1:] == (outer,)
+        assert len(TraceLog(Simulation()).sinks) == 1
+
+    def test_block_registry_fills_in_but_explicit_metrics_win(self):
+        block, explicit, inner = MetricsRegistry(), MetricsRegistry(), MetricsRegistry()
+        with observed_traces(metrics=block):
+            assert TraceLog(Simulation()).metrics is block
+            assert TraceLog(Simulation(), metrics=explicit).metrics is explicit
+            with observed_traces(metrics=inner):
+                assert TraceLog(Simulation()).metrics is inner
+            with observed_traces():  # no registry of its own: inherits
+                assert TraceLog(Simulation()).metrics is block
+            assert TraceLog(Simulation()).metrics is block
+        assert TraceLog(Simulation()).metrics is not block
+
+    def test_expect_reaches_only_sinks_that_define_it(self):
+        bare = TraceLog(Simulation())
+        assert not bare.wants_expectations
+        bare.expect("i", {"/a"})  # nobody listening: a no-op
+        causal = CausalSink()
+        trace = TraceLog(Simulation(), sinks=[MemorySink(), causal])
+        assert trace.wants_expectations
+        trace.expect("i", ["/a", "/b"])
+        assert causal.registered_expected("i") == {"/a", "/b"}
 
 
 class TestRng:

@@ -10,7 +10,7 @@ offer ``--check-invariants`` without a determinism caveat.
 
 from repro.experiments.e2_latency import run_e2
 from repro.experiments.e12_routing import run_e12
-from repro.obs.sinks import MemorySink
+from repro.sim.trace import observed_traces
 from repro.testkit.invariants import InvariantSuite
 
 from tests.integration.test_golden_fingerprints import (
@@ -42,7 +42,8 @@ E2_SMALL_GOLDEN = (
 class TestSuiteTransparency:
     def test_fingerprint_identical_with_suite_attached(self):
         suite = InvariantSuite()
-        result = run_e2(sinks=[MemorySink(), suite], **E2_SMALL_KWARGS)
+        with observed_traces(lambda trace: suite):
+            result = run_e2(**E2_SMALL_KWARGS)
         assert fingerprint(result) == E2_SMALL_GOLDEN
         # The suite genuinely observed the run...
         assert suite.causal.events_seen > 0
@@ -52,11 +53,11 @@ class TestSuiteTransparency:
         assert suite.finalize(None) == []
 
     def test_suite_attached_matches_default_run(self):
-        # A run with no sinks argument at all vs the explicit
-        # MemorySink + suite list: identical results either way.
+        # A bare run vs one observed by a suite: identical results
+        # either way.
         baseline = run_e2(**E2_SMALL_KWARGS)
-        observed = run_e2(sinks=[MemorySink(), InvariantSuite()],
-                          **E2_SMALL_KWARGS)
+        with observed_traces(lambda trace: InvariantSuite()):
+            observed = run_e2(**E2_SMALL_KWARGS)
         assert fingerprint(baseline) == fingerprint(observed)
 
     def test_e12_fingerprint_identical_with_suite_attached(self):
@@ -64,9 +65,18 @@ class TestSuiteTransparency:
         # joined the catalogue; prove the grown suite is still a pure
         # observer on the experiment that stresses them hardest —
         # churn, corruption, and repair rounds all under observation.
-        suite = InvariantSuite()
-        result = run_e12(sinks=[suite], **E12_SMALL_KWARGS)
+        # One suite per scheme: item keys repeat across the four systems.
+        suites = []
+
+        def suite_per_trace(trace):
+            suites.append(InvariantSuite())
+            return suites[-1]
+
+        with observed_traces(suite_per_trace):
+            result = run_e12(**E12_SMALL_KWARGS)
         assert e12_fingerprint(result) == E12_SMALL_GOLDEN
-        assert suite.causal.events_seen > 0
-        assert suite.retained_events == 0
-        assert suite.finalize(None) == []
+        assert len(suites) == len(result.rows)
+        for suite in suites:
+            assert suite.causal.events_seen > 0
+            assert suite.retained_events == 0
+            assert suite.finalize(None) == []
