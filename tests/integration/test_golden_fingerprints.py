@@ -13,9 +13,20 @@ and document the change.
 the E2 fingerprints with the full invariant suite attached.)
 """
 
+from dataclasses import astuple
+
+import pytest
+
 from repro.experiments.e2_latency import run_e2
+from repro.experiments.e3_publisher_load import run_e3
+from repro.experiments.e4_overload import run_e4, run_e4_physical
 from repro.experiments.e5_bloom import run_e5_analytic, run_e5_system
+from repro.experiments.e6_subscription import run_e6
+from repro.experiments.e7_redundancy import run_e7
+from repro.experiments.e8_branching import run_e8
 from repro.experiments.e9_queues import run_e9
+from repro.experiments.e10_scoped import run_e10
+from repro.experiments.e11_partition import run_e11
 from repro.experiments.e12_routing import run_e12
 
 
@@ -190,4 +201,86 @@ class TestE9Golden:
              2.4634039558127006, 6.925340855893339,
              0.7478461365327846, 6.046463985668727,
              86, 3.5891954022988446),
+        ]
+
+
+class TestTinyGoldens:
+    """Tiny-input pins (each under ~2 s) for the runners the quick
+    battery alone used to cover: every row, every field, byte for byte.
+    Captured before E3–E11 moved onto ``build_system``; a refactor of
+    the build → settle → publish → collect plumbing keeps them equal.
+    """
+
+    def test_e3_four_systems(self):
+        assert [astuple(r) for r in run_e3(sizes=(40,), items=3, seed=1).rows] == [
+            ("direct-push", 40, 3, 22.0, 34896.0, 0.06227841412709617),
+            ("pull@60s", 40, 3, 33.333333333333336, 150094.66666666666,
+             59.8326762496605),
+            ("cdn@8edges", 40, 3, 8.0, 13365.333333333334, 59.81399418684879),
+            ("newswire", 40, 3, 53.0, 118484.66666666667, 0.11622849566235337),
+        ]
+
+    def test_e4_flood_table(self):
+        result = run_e4(num_clients=40, items=3, flood_rates=(0.0, 500.0), seed=2)
+        assert [astuple(r) for r in result.rows] == [
+            ("pull", 0.0, 1.0, 1.0, 26.557915029654424),
+            ("pull", 500.0, 0.3804878048780488, 0.6, 73.11624939949515),
+            ("newswire+pubcrash", 0.0, 1.0, 1.0, 0.12545065820248952),
+            ("newswire+pubcrash", 500.0, 1.0, 1.0, 0.12614468470059992),
+        ]
+
+    def test_e4_physical_links(self):
+        assert astuple(run_e4_physical(num_nodes=60, items=3)) == (
+            "newswire(1Mbit links)", 500.0, 1.0, 1.0, 0.5569221614708084,
+        )
+
+    @pytest.mark.parametrize(
+        "backend, row",
+        [
+            ("object", (40, 2.0, 5.0, 0.05889542296336003)),
+            ("columnar", (40, 2.0, 2.0, 0.05900067110303553)),
+        ],
+    )
+    def test_e6_either_backend(self, backend, row):
+        result = run_e6(sizes=(40,), gossip_intervals=(2.0,), backend=backend)
+        assert [astuple(r) for r in result.rows] == [row]
+
+    def test_e7_loss_and_crashes(self):
+        result = run_e7(
+            num_nodes=80, items=4, rep_counts=(1, 3),
+            repair_options=(False, True), loss_rate=0.1, crash_fraction=0.2,
+            seed=3,
+        )
+        assert [astuple(r) for r in result.rows] == [
+            (1, False, 0.1, 0.2, 0.5704697986577181, 0.0, 0),
+            (1, True, 0.1, 0.2, 0.9194630872483222, 0.0, 47),
+            (3, False, 0.1, 0.2, 0.9060402684563759, 0.6592592592592592, 0),
+            (3, True, 0.1, 0.2, 0.9932885906040269, 0.668918918918919, 14),
+        ]
+
+    def test_e8_two_branchings(self):
+        result = run_e8(
+            num_nodes=48, branchings=(4, 16), items=2, measure_time=15.0, seed=4
+        )
+        assert [astuple(r) for r in result.rows] == [
+            (4, 3, 2976.0805555555557, 0.1777087642488322,
+             0.28393122757902034, 36.0),
+            (16, 2, 2830.3708333333334, 0.1277781760974297,
+             0.1570869729485367, 34.0),
+        ]
+
+    def test_e10_three_cases(self):
+        assert [astuple(r) for r in run_e10(num_nodes=48, seed=5).rows] == [
+            ("global", 48, 48, 0, 47),
+            ("scoped:/z0", 7, 7, 0, 6),
+            ("premium-only", 16, 16, 0, 47),
+        ]
+
+    def test_e11_inside_and_beyond_the_window(self):
+        result = run_e11(
+            num_nodes=32, durations=(12.0,), buffer_capacities=(2, 64), seed=6
+        )
+        assert [astuple(r) for r in result.rows] == [
+            (12.0, 2, 3, 26, 0.6666666666666666, None),
+            (12.0, 64, 3, 26, 1.0, 24.0),
         ]
