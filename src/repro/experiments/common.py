@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Callable, Dict, Mapping, Optional, Sequence
 
 from repro.core.config import NewsWireConfig
 from repro.core.errors import ConfigurationError, FlowControlError
 from repro.core.identifiers import ItemId, ZonePath
+from repro.metrics.report import format_table
 from repro.news.deployment import NewsWireSystem, build_newswire
 from repro.news.item import NewsItem
 from repro.obs.sinks import TraceSink
+from repro.pubsub.subscription import Subscription
 from repro.workloads.populations import InterestModel
 from repro.workloads.traces import Publication
 
@@ -38,8 +40,9 @@ def validate_fraction(name: str, value) -> None:
         raise ConfigurationError(f"{name} must be in [0, 1], got {value!r}")
 
 
-def validate_sizes(name: str, values) -> None:
-    """A non-empty sequence of positive sizes (population sweeps)."""
+def validate_sizes(name: str, values, entry=validate_positive) -> None:
+    """A non-empty sweep axis: positive sizes, or whatever ``entry``
+    (another ``validate_*``) accepts of each value."""
     try:
         items = list(values)
     except TypeError:
@@ -47,7 +50,7 @@ def validate_sizes(name: str, values) -> None:
     if not items:
         raise ConfigurationError(f"{name} must not be empty")
     for value in items:
-        validate_positive(f"{name} entry", value)
+        entry(f"{name} entry", value)
 
 
 def validate_seed(value) -> None:
@@ -61,7 +64,10 @@ def validate_seed(value) -> None:
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """Declarative description of a standard experiment deployment.
+    """Declarative description of the standard experiment deployment —
+    the one every NewsWire runner (E2–E4, E6–E11) builds through
+    :func:`build_system`, so the backend is chosen and the system is
+    built and settled in exactly one place.
 
     ``seed`` drives the simulation RNG streams; ``interest_seed``
     (default: same as ``seed``) drives the subscription population, so
@@ -71,7 +77,9 @@ class SystemSpec:
     """
 
     num_nodes: int
-    subjects: Sequence[str]
+    #: Vocabulary of the Zipf :class:`InterestModel` that seeds
+    #: subscriptions; unused (may stay empty) with ``subscriptions_for``.
+    subjects: Sequence[str] = ()
     subscriptions_per_node: int = 3
     seed: int = 0
     interest_seed: Optional[int] = None
@@ -79,21 +87,31 @@ class SystemSpec:
     publisher_rate: float = 50.0
     config: Optional[NewsWireConfig] = None
     sinks: Optional[Sequence[TraceSink]] = field(default=None, compare=False)
-    #: Execution substrate: "sim" (default) builds the deterministic
-    #: simulator; a :class:`repro.runtime.interface.Runtime` instance
-    #: (e.g. AsyncioUdpRuntime) builds the same deployment on it with
-    #: ``start`` deferred to the caller (see docs/RUNTIME.md).
-    runtime: object = field(default="sim", compare=False)
     #: State representation: "object" (default) is the faithful
     #: per-agent deployment; "columnar" is the struct-of-arrays
     #: mega-scale backend (docs/SCALE.md), canonical-trace-equivalent
     #: at fixed seed and simulator-only.
     backend: str = "object"
+    #: An explicit ``index -> subscriptions`` in place of an interest
+    #: model (flash crowds, hand-built populations, a model shared with
+    #: baseline systems); ``build_system`` then returns ``None`` for
+    #: the interests.
+    subscriptions_for: Optional[Callable[[int], Sequence[Subscription]]] = field(
+        default=None, compare=False
+    )
+    #: Gossip rounds (``config.gossip.interval`` each) the system runs
+    #: before it is handed over.
+    settle_rounds: float = 0.0
+    #: Simulated-network shaping forwarded to ``build_newswire``; the
+    #: columnar backend models none of it and refuses a non-empty one.
+    network: Mapping[str, float] = field(default_factory=dict)
 
     def validate(self) -> "SystemSpec":
         validate_positive("num_nodes", self.num_nodes)
-        if not list(self.subjects):
-            raise ConfigurationError("subjects must not be empty")
+        if self.subscriptions_for is None and not list(self.subjects):
+            raise ConfigurationError(
+                "subjects must not be empty unless subscriptions_for is given"
+            )
         validate_positive("subscriptions_per_node", self.subscriptions_per_node)
         validate_positive("publisher_rate", self.publisher_rate)
         validate_seed(self.seed)
@@ -103,38 +121,53 @@ class SystemSpec:
             raise ConfigurationError(
                 f"backend must be 'object' or 'columnar', got {self.backend!r}"
             )
+        validate_non_negative("settle_rounds", self.settle_rounds)
+        unknown = sorted(set(self.network) - set(NETWORK_KEYS))
+        if unknown:
+            raise ConfigurationError(
+                f"network takes {NETWORK_KEYS}, got {unknown}"
+            )
+        if self.network and self.backend == "columnar":
+            raise ConfigurationError(
+                "the columnar backend models no network shaping; "
+                f"drop {sorted(self.network)} or use backend='object'"
+            )
         return self
 
 
+#: The ``build_newswire`` parameters ``SystemSpec.network`` may carry.
+NETWORK_KEYS = ("loss_rate", "bandwidth", "ingress_bandwidth")
+
+
 def build_system(spec: SystemSpec) -> tuple:
-    """Stand up the standard NewsWire deployment a ``SystemSpec`` describes.
+    """Stand up and settle the NewsWire deployment a ``SystemSpec``
+    describes — the only place under ``repro.experiments`` that calls
+    ``build_newswire`` or ``build_columnar``.
 
     Returns the running system and the interest model used to seed
-    subscriptions (experiments need it for expected-delivery counts).
+    subscriptions (experiments need it for expected-delivery counts;
+    ``None`` when the spec brought its own ``subscriptions_for``).
     With ``backend="columnar"`` the system is a
     :class:`repro.scale.backend.ColumnarNewsWire` exposing the same
     driving surface (``runtime`` / ``trace`` / ``publisher`` /
     ``run_for``); otherwise a :class:`NewsWireSystem`.
     """
     spec.validate()
-    live = not (spec.runtime is None or spec.runtime == "sim")
-    if live and spec.backend == "columnar":
-        raise ConfigurationError(
-            "the columnar backend runs on the simulator only; "
-            "live runtimes need backend='object'"
+    interests = None
+    subscriptions_for = spec.subscriptions_for
+    if subscriptions_for is None:
+        interests = InterestModel(
+            subjects=spec.subjects,
+            subscriptions_per_node=spec.subscriptions_per_node,
+            seed=spec.interest_seed if spec.interest_seed is not None else spec.seed,
         )
-    interest_seed = spec.interest_seed if spec.interest_seed is not None else spec.seed
-    interests = InterestModel(
-        subjects=spec.subjects,
-        subscriptions_per_node=spec.subscriptions_per_node,
-        seed=interest_seed,
-    )
-    interests.prepare(spec.num_nodes)
+        interests.prepare(spec.num_nodes)
+        subscriptions_for = interests.subscriptions_for
     config = spec.config if spec.config is not None else NewsWireConfig()
     population = dict(
         publisher_names=tuple(spec.publisher_names),
         publisher_rate=spec.publisher_rate,
-        subscriptions_for=interests.subscriptions_for,
+        subscriptions_for=subscriptions_for,
         seed=spec.seed,
         sinks=spec.sinks,
     )
@@ -146,13 +179,11 @@ def build_system(spec: SystemSpec) -> tuple:
         system = build_columnar(spec.num_nodes, config, **population)
     else:
         system = build_newswire(
-            spec.num_nodes,
-            config,
-            start=not live,
-            runtime=spec.runtime if live else None,
-            **population,
+            spec.num_nodes, config, **population, **spec.network
         )
+    system.run_for(spec.settle_rounds * config.gossip.interval)
     return system, interests
+
 
 #: Average English word length + space, for body size synthesis.
 WORD = "lorem "
@@ -175,6 +206,43 @@ def item_from_publication(
         urgency=publication.urgency,
         published_at=publication.time,
     )
+
+
+def story_trace(
+    start: float,
+    items: int,
+    subjects: Sequence[str],
+    *,
+    spacing: float = 1.0,
+    body_words: int = 120,
+    headline: str = "story",
+    urgency: Callable[[int], int] = lambda index: 5,
+) -> list[Publication]:
+    """``items`` stories ``spacing`` seconds apart from ``start``,
+    cycling through ``subjects``; ``urgency`` maps a story's index to
+    its urgency (default: everything routine)."""
+    return [
+        Publication(
+            time=start + index * spacing,
+            subject=subjects[index % len(subjects)],
+            headline=f"{headline} {index}",
+            body_words=body_words,
+            urgency=urgency(index),
+        )
+        for index in range(items)
+    ]
+
+
+def publish_at_origin(sim, origin, trace: Sequence[Publication], publisher: str) -> None:
+    """Schedule ``trace`` on a baseline origin (pull / push / CDN),
+    serials in trace order from 1 — what :func:`drive_trace` does for a
+    NewsWire publisher."""
+    for serial, publication in enumerate(trace, start=1):
+        sim.call_at(
+            publication.time,
+            origin.publish,
+            item_from_publication(publication, publisher, serial),
+        )
 
 
 @dataclass
@@ -273,3 +341,23 @@ def expected_delivery_nodes(
             by_subject[publication.subject] = nodes
         expected[str(ItemId(publisher_name, serial))] = nodes
     return expected
+
+
+class TableResult:
+    """Base of the single-table ``*Result`` dataclasses: ``columns``
+    pairs each header with the row attribute that fills it, or with a
+    ``row -> cell`` callable, so a column is declared once."""
+
+    title: str = ""
+    columns: tuple = ()
+
+    def report(self) -> str:
+        return format_table(
+            [header for header, _ in self.columns],
+            [
+                [cell(row) if callable(cell) else getattr(row, cell)
+                 for _, cell in self.columns]
+                for row in self.rows
+            ],
+            title=self.title,
+        )

@@ -23,10 +23,14 @@ from dataclasses import dataclass
 
 from repro.core.config import NewsWireConfig
 from repro.core.identifiers import ZonePath
-from repro.metrics.report import format_table
-from repro.news.deployment import build_newswire
 from repro.pubsub.subscription import Subscription
-from repro.experiments.common import validate_positive, validate_seed
+from repro.experiments.common import (
+    SystemSpec,
+    TableResult,
+    build_system,
+    validate_positive,
+    validate_seed,
+)
 from repro.experiments.registry import register
 
 
@@ -40,19 +44,17 @@ class E10Row:
 
 
 @dataclass
-class E10Result:
+class E10Result(TableResult):
     rows: list[E10Row]
 
-    def report(self) -> str:
-        return format_table(
-            ["case", "expected", "inside", "outside (must be 0)", "forwards"],
-            [
-                (r.case, r.expected_receivers, r.delivered_inside,
-                 r.delivered_outside, r.forwards)
-                for r in self.rows
-            ],
-            title="E10: scoped publishing and premium predicate targeting (§8)",
-        )
+    title = "E10: scoped publishing and premium predicate targeting (§8)"
+    columns = (
+        ("case", "case"),
+        ("expected", "expected_receivers"),
+        ("inside", "delivered_inside"),
+        ("outside (must be 0)", "delivered_outside"),
+        ("forwards", "forwards"),
+    )
 
 
 @register(
@@ -67,7 +69,6 @@ def run_e10(*, num_nodes: int = 240, seed: int = 0) -> E10Result:
     validate_positive("num_nodes", num_nodes)
     validate_seed(seed)
     subject = "reuters/world"
-    config = NewsWireConfig(branching_factor=16)
 
     def subscriptions(index: int):
         # Every third subscriber is premium: their subscription's
@@ -79,88 +80,57 @@ def run_e10(*, num_nodes: int = 240, seed: int = 0) -> E10Result:
             Subscription(subject, "NOT CONTAINS(keywords, 'premium')"),
         )
 
-    system = build_newswire(
-        num_nodes,
-        config,
-        publisher_names=("reuters",),
-        publisher_rate=50.0,
-        subscriptions_for=subscriptions,
-        seed=seed,
-    )
-    system.run_for(2 * config.gossip.interval)
-    publisher = system.publisher("reuters")
-    rows: list[E10Row] = []
-
-    # --- Case 1: global publish (baseline) -----------------------------
-    marker = system.trace.count("forward")
-    item1 = publisher.publish_news(subject, "global story")
-    system.run_for(30.0)
-    delivered = _deliveries_of(system, str(item1.item_id))
-    rows.append(
-        E10Row(
-            case="global",
-            expected_receivers=num_nodes,
-            delivered_inside=len(delivered),
-            delivered_outside=0,
-            forwards=system.trace.count("forward") - marker,
+    system, _ = build_system(
+        SystemSpec(
+            num_nodes=num_nodes,
+            subscriptions_for=subscriptions,
+            publisher_names=("reuters",),
+            seed=seed,
+            config=NewsWireConfig(branching_factor=16),
+            settle_rounds=2,
         )
     )
+    publisher = system.publisher("reuters")
 
-    # --- Case 2: scoped publish into the publisher's own top zone -------
-    top_zone = ZonePath(publisher.node_id.labels[:1])
-    inside = {
-        str(node.node_id)
-        for node in system.nodes
-        if top_zone.contains(node.node_id)
-    }
-    marker = system.trace.count("forward")
-    item2 = publisher.publish_news(subject, "regional story", zone=top_zone)
-    system.run_for(30.0)
-    delivered = _deliveries_of(system, str(item2.item_id))
-    rows.append(
-        E10Row(
-            case=f"scoped:{top_zone}",
+    def names(nodes) -> set[str]:
+        return {str(node.node_id) for node in nodes}
+
+    def case(name: str, headline: str, inside: set[str], **publish) -> E10Row:
+        """Publish one item; count who got it inside and outside the
+        set that should, and the forwards it cost."""
+        marker = system.trace.count("forward")
+        item_id = str(publisher.publish_news(subject, headline, **publish).item_id)
+        system.run_for(30.0)
+        delivered = [
+            event["node"]
+            for event in system.trace.events("deliver")
+            if event.get("item") == item_id
+        ]
+        return E10Row(
+            case=name,
             expected_receivers=len(inside),
             delivered_inside=sum(1 for node in delivered if node in inside),
             delivered_outside=sum(1 for node in delivered if node not in inside),
             forwards=system.trace.count("forward") - marker,
         )
-    )
 
-    # --- Case 3: premium-only item (predicate targeting) ----------------
-    premium_subscribers = {
-        str(node.node_id)
-        for index, node in enumerate(system.nodes)
-        if index % 3 == 0
-    }
-    marker = system.trace.count("forward")
-    item3 = publisher.publish_news(
-        subject, "premium story", keywords=("premium", "exclusive")
-    )
-    system.run_for(30.0)
-    delivered = _deliveries_of(system, str(item3.item_id))
-    rows.append(
-        E10Row(
-            case="premium-only",
-            expected_receivers=len(premium_subscribers),
-            delivered_inside=sum(
-                1 for node in delivered if node in premium_subscribers
+    # Scoped publish goes into the publisher's own top zone; the premium
+    # item must reach exactly the predicate-free (every third) subscribers.
+    top_zone = ZonePath(publisher.node_id.labels[:1])
+    return E10Result(
+        [
+            case("global", "global story", names(system.nodes)),
+            case(
+                f"scoped:{top_zone}", "regional story",
+                names(n for n in system.nodes if top_zone.contains(n.node_id)),
+                zone=top_zone,
             ),
-            delivered_outside=sum(
-                1 for node in delivered if node not in premium_subscribers
+            case(
+                "premium-only", "premium story", names(system.nodes[::3]),
+                keywords=("premium", "exclusive"),
             ),
-            forwards=system.trace.count("forward") - marker,
-        )
+        ]
     )
-    return E10Result(rows)
-
-
-def _deliveries_of(system, item_id: str) -> list[str]:
-    return [
-        event["node"]
-        for event in system.trace.events("deliver")
-        if event.get("item") == item_id
-    ]
 
 
 if __name__ == "__main__":

@@ -21,10 +21,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core.config import GossipConfig, MulticastConfig, NewsWireConfig
-from repro.metrics.report import format_table
-from repro.news.deployment import build_newswire
 from repro.pubsub.subscription import Subscription
 from repro.experiments.common import (
+    SystemSpec,
+    TableResult,
+    build_system,
     validate_positive,
     validate_seed,
     validate_sizes,
@@ -45,29 +46,22 @@ class E11Row:
 
 
 @dataclass
-class E11Result:
+class E11Result(TableResult):
     rows: list[E11Row]
 
-    def report(self) -> str:
-        return format_table(
-            ["partition (s)", "repair buffer", "items", "cut nodes",
-             "recovered", "recovery time (s)"],
-            [
-                (
-                    r.partition_duration,
-                    r.repair_buffer,
-                    r.items_during_partition,
-                    r.cut_side_nodes,
-                    r.recovered_ratio,
-                    "n/a" if r.recovery_time_s is None else r.recovery_time_s,
-                )
-                for r in self.rows
-            ],
-            title=(
-                "E11: partition healing vs bounded repair window "
-                "(bimodal: inside the window ~all, beyond it ~none)"
-            ),
-        )
+    title = (
+        "E11: partition healing vs bounded repair window "
+        "(bimodal: inside the window ~all, beyond it ~none)"
+    )
+    columns = (
+        ("partition (s)", "partition_duration"),
+        ("repair buffer", "repair_buffer"),
+        ("items", "items_during_partition"),
+        ("cut nodes", "cut_side_nodes"),
+        ("recovered", "recovered_ratio"),
+        ("recovery time (s)",
+         lambda r: "n/a" if r.recovery_time_s is None else r.recovery_time_s),
+    )
 
 
 @register(
@@ -119,15 +113,16 @@ def _run_one(
             cross_zone_repair_probability=0.25,
         ),
     )
-    system = build_newswire(
-        num_nodes,
-        config,
-        publisher_names=("reuters",),
-        publisher_rate=50.0,
-        subscriptions_for=lambda i: (Subscription(SUBJECT),),
-        seed=seed,
+    system, _ = build_system(
+        SystemSpec(
+            num_nodes=num_nodes,
+            subscriptions_for=lambda i: (Subscription(SUBJECT),),
+            publisher_names=("reuters",),
+            seed=seed,
+            config=config,
+            settle_rounds=3.0,  # 3 s at the 1 s gossip interval above
+        )
     )
-    system.run_for(3.0)
     publisher = system.publisher("reuters")
     own_top = publisher.node_id.labels[0]
     side_a = [n.node_id for n in system.nodes if n.node_id.labels[0] == own_top]

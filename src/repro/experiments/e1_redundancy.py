@@ -23,13 +23,13 @@ from repro.sim.network import FixedLatency, Network
 from repro.baselines.origin import OriginServer
 from repro.baselines.pull import PullClient
 from repro.experiments.common import (
-    item_from_publication,
+    TableResult,
+    publish_at_origin,
     validate_positive,
     validate_seed,
     validate_sizes,
 )
 from repro.experiments.registry import register
-from repro.metrics.report import format_table
 from repro.workloads.traces import DAY, diurnal_trace
 
 
@@ -45,30 +45,25 @@ class E1Row:
 
 
 @dataclass
-class E1Result:
+class E1Result(TableResult):
     rows: list[E1Row]
     items_published: int
 
-    def report(self) -> str:
-        return format_table(
-            ["mode", "visits/day", "polls", "new", "redundant",
-             "bytes", "redundancy"],
-            [
-                (
-                    row.mode,
-                    row.visits_per_day,
-                    row.polls,
-                    row.new_items,
-                    row.redundant_items,
-                    row.bytes_received,
-                    row.redundancy_ratio,
-                )
-                for row in self.rows
-            ],
-            title=(
-                f"E1: pull-model redundancy ({self.items_published} items "
-                "published; paper claims ~0.70 at 4 visits/day, full-page pull)"
-            ),
+    columns = (
+        ("mode", "mode"),
+        ("visits/day", "visits_per_day"),
+        ("polls", "polls"),
+        ("new", "new_items"),
+        ("redundant", "redundant_items"),
+        ("bytes", "bytes_received"),
+        ("redundancy", "redundancy_ratio"),
+    )
+
+    @property
+    def title(self) -> str:
+        return (
+            f"E1: pull-model redundancy ({self.items_published} items "
+            "published; paper claims ~0.70 at 4 visits/day, full-page pull)"
         )
 
     def redundancy_at(self, mode: str, visits_per_day: float) -> float:
@@ -115,12 +110,7 @@ def run_e1(
         subjects=["slashdot/tech"],
         rng=random.Random(seed),
     )
-    for serial, publication in enumerate(trace, start=1):
-        sim.call_at(
-            publication.time,
-            origin.publish,
-            item_from_publication(publication, "slashdot", serial),
-        )
+    publish_at_origin(sim, origin, trace, "slashdot")
 
     clients: list[tuple[str, float, PullClient]] = []
     index = 0

@@ -26,10 +26,12 @@ from repro.core.config import NewsWireConfig
 from repro.core.errors import ConfigurationError
 from repro.experiments.common import (
     SystemSpec,
+    TableResult,
     build_system,
     drive_trace,
     expected_deliveries,
     expected_delivery_nodes,
+    story_trace,
     validate_non_negative,
     validate_positive,
     validate_seed,
@@ -37,11 +39,9 @@ from repro.experiments.common import (
 )
 from repro.experiments.registry import SweepCell, register
 from repro.metrics.collectors import collect_delivery_stats, delivery_ratio
-from repro.metrics.report import format_table
 from repro.metrics.stats import Summary
 from repro.obs.sinks import MemorySink, StreamingSink
 from repro.workloads.scenarios import TECH_CATEGORIES, subjects_for
-from repro.workloads.traces import Publication
 
 #: At or above this population, ``sink="auto"`` switches the per-size
 #: primary sink from a retained-event MemorySink to a bounded-memory
@@ -61,32 +61,24 @@ class E2Row:
 
 
 @dataclass
-class E2Result:
+class E2Result(TableResult):
     rows: list[E2Row]
 
-    def report(self) -> str:
-        return format_table(
-            ["nodes", "items", "expected", "delivered", "ratio",
-             "lat p50 (s)", "lat p90 (s)", "lat p99 (s)", "lat max (s)"],
-            [
-                (
-                    row.num_nodes,
-                    row.items,
-                    row.expected,
-                    row.delivered,
-                    row.ratio,
-                    row.latency.p50,
-                    row.latency.p90,
-                    row.latency.p99,
-                    row.latency.maximum,
-                )
-                for row in self.rows
-            ],
-            title=(
-                "E2: delivery latency vs population size "
-                "(paper claims tens of seconds at 10^5 subscribers)"
-            ),
-        )
+    title = (
+        "E2: delivery latency vs population size "
+        "(paper claims tens of seconds at 10^5 subscribers)"
+    )
+    columns = (
+        ("nodes", "num_nodes"),
+        ("items", "items"),
+        ("expected", "expected"),
+        ("delivered", "delivered"),
+        ("ratio", "ratio"),
+        ("lat p50 (s)", lambda row: row.latency.p50),
+        ("lat p90 (s)", lambda row: row.latency.p90),
+        ("lat p99 (s)", lambda row: row.latency.p99),
+        ("lat max (s)", lambda row: row.latency.maximum),
+    )
 
 
 def _e2_cells(kwargs: dict) -> list[SweepCell]:
@@ -162,7 +154,6 @@ def run_e2(
     subjects = subjects_for(("newswire",), TECH_CATEGORIES)
     rows: list[E2Row] = []
     for num_nodes in sizes:
-        cfg = config if config is not None else NewsWireConfig()
         # Each size gets its own fresh *primary* sink: the row stats
         # must cover only this size's events.  Observers attached by
         # ``observed_traces`` ride behind it and are never the stats
@@ -180,24 +171,16 @@ def run_e2(
                 subscriptions_per_node=subscriptions_per_node,
                 seed=seed + num_nodes,
                 interest_seed=seed,
-                publisher_names=("newswire",),
-                publisher_rate=50.0,
-                config=cfg,
+                config=config,
                 sinks=[StreamingSink() if use_streaming else MemorySink()],
                 backend=backend,
+                settle_rounds=settle_rounds,
             )
         )
-        system.run_for(settle_rounds * cfg.gossip.interval)
         start = system.sim.now
-        trace = [
-            Publication(
-                time=start + index * item_spacing,
-                subject=subjects[index % len(subjects)],
-                headline=f"story {index}",
-                body_words=200,
-            )
-            for index in range(items)
-        ]
+        trace = story_trace(
+            start, items, subjects, spacing=item_spacing, body_words=200
+        )
         drive_trace(system, "newswire", trace)
         system.sim.run_until(start + items * item_spacing + drain_time)
 

@@ -26,10 +26,9 @@ dedicated server infrastructure" — the §2 criticism NewsWire answers.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
-from repro.core.config import NewsWireConfig
 from repro.core.identifiers import ZonePath
 from repro.sim.engine import Simulation
 from repro.sim.network import HierarchicalLatency, Network
@@ -38,16 +37,17 @@ from repro.baselines.direct_push import PushOrigin, PushSubscriber
 from repro.baselines.origin import OriginServer
 from repro.baselines.pull import PullClient
 from repro.experiments.common import (
+    SystemSpec,
+    TableResult,
+    build_system,
     drive_trace,
-    item_from_publication,
+    publish_at_origin,
     validate_positive,
     validate_seed,
     validate_sizes,
 )
 from repro.experiments.registry import register
-from repro.metrics.report import format_table
 from repro.metrics.stats import Summary
-from repro.news.deployment import build_newswire
 from repro.workloads.populations import InterestModel
 from repro.workloads.scenarios import TECH_CATEGORIES, subjects_for
 from repro.workloads.traces import Publication, poisson_trace
@@ -64,29 +64,21 @@ class E3Row:
 
 
 @dataclass
-class E3Result:
+class E3Result(TableResult):
     rows: list[E3Row]
 
-    def report(self) -> str:
-        return format_table(
-            ["system", "subscribers", "items", "pub msgs/item",
-             "pub bytes/item", "p99 latency (s)"],
-            [
-                (
-                    row.system,
-                    row.num_subscribers,
-                    row.items,
-                    row.publisher_msgs_per_item,
-                    row.publisher_bytes_per_item,
-                    row.latency_p99,
-                )
-                for row in self.rows
-            ],
-            title=(
-                "E3: publisher load — push/pull grow linearly in N; CDN is "
-                "flat but poll-bound; NewsWire is flat AND fresh (abstract)"
-            ),
-        )
+    title = (
+        "E3: publisher load — push/pull grow linearly in N; CDN is "
+        "flat but poll-bound; NewsWire is flat AND fresh (abstract)"
+    )
+    columns = (
+        ("system", "system"),
+        ("subscribers", "num_subscribers"),
+        ("items", "items"),
+        ("pub msgs/item", "publisher_msgs_per_item"),
+        ("pub bytes/item", "publisher_bytes_per_item"),
+        ("p99 latency (s)", "latency_p99"),
+    )
 
 
 def _make_trace(items: int, subjects: Sequence[str], seed: int) -> list[Publication]:
@@ -97,12 +89,39 @@ def _make_trace(items: int, subjects: Sequence[str], seed: int) -> list[Publicat
     return base[:items]
 
 
+def _baseline(seed: int, kind: str) -> tuple[Simulation, Network, TraceLog]:
+    """The substrate under each baseline system: a fresh simulator, the
+    hierarchical-latency network and a trace of its delivery ``kind``."""
+    sim = Simulation(seed=seed)
+    return sim, Network(sim, latency=HierarchicalLatency()), TraceLog(sim, kinds={kind})
+
+
+def _row(
+    system: str,
+    trace: Sequence[Publication],
+    network: Network,
+    origin,
+    num_subscribers: int,
+    trace_log: TraceLog,
+    kind: str,
+) -> E3Row:
+    """Everything ``origin`` sent, per published item, beside the p99
+    of the ``kind`` deliveries."""
+    stats = network.node_stats(origin.node_id)
+    return E3Row(
+        system=system,
+        num_subscribers=num_subscribers,
+        items=len(trace),
+        publisher_msgs_per_item=stats.sent_messages / len(trace),
+        publisher_bytes_per_item=stats.sent_bytes / len(trace),
+        latency_p99=Summary.of(e["latency"] for e in trace_log.events(kind)).p99,
+    )
+
+
 def _run_direct_push(
     num_subscribers: int, trace: Sequence[Publication], interests: InterestModel, seed: int
 ) -> E3Row:
-    sim = Simulation(seed=seed)
-    network = Network(sim, latency=HierarchicalLatency())
-    trace_log = TraceLog(sim, kinds={"push-deliver"})
+    sim, network, trace_log = _baseline(seed, "push-deliver")
     origin = PushOrigin(
         ZonePath.parse("/origin/push"), sim, network, send_rate=1000.0, trace=trace_log
     )
@@ -114,22 +133,11 @@ def _run_direct_push(
             subscriber.node_id,
             {s.subject for s in interests.subscriptions_for(index)},
         )
-    for serial, publication in enumerate(trace, start=1):
-        sim.call_at(
-            publication.time,
-            origin.publish,
-            item_from_publication(publication, "push", serial),
-        )
+    publish_at_origin(sim, origin, trace, "push")
     sim.run()
-    latencies = [e["latency"] for e in trace_log.events("push-deliver")]
-    stats = network.node_stats(origin.node_id)
-    return E3Row(
-        system="direct-push",
-        num_subscribers=num_subscribers,
-        items=len(trace),
-        publisher_msgs_per_item=stats.sent_messages / len(trace),
-        publisher_bytes_per_item=stats.sent_bytes / len(trace),
-        latency_p99=Summary.of(latencies).p99 if latencies else 0.0,
+    return _row(
+        "direct-push", trace, network, origin, num_subscribers,
+        trace_log, "push-deliver",
     )
 
 
@@ -140,9 +148,7 @@ def _run_pull(
     seed: int,
     poll_interval: float = 60.0,
 ) -> E3Row:
-    sim = Simulation(seed=seed)
-    network = Network(sim, latency=HierarchicalLatency())
-    trace_log = TraceLog(sim, kinds={"pull-deliver"})
+    sim, network, trace_log = _baseline(seed, "pull-deliver")
     origin = OriginServer(
         ZonePath.parse("/origin/www"), sim, network, capacity=100_000.0,
         trace=trace_log,
@@ -158,23 +164,11 @@ def _run_pull(
             trace=trace_log,
         )
         client.start()
-    for serial, publication in enumerate(trace, start=1):
-        sim.call_at(
-            publication.time,
-            origin.publish,
-            item_from_publication(publication, "www", serial),
-        )
-    horizon = max(p.time for p in trace) + 2 * poll_interval
-    sim.run_until(horizon)
-    latencies = [e["latency"] for e in trace_log.events("pull-deliver")]
-    stats = network.node_stats(origin.node_id)
-    return E3Row(
-        system=f"pull@{poll_interval:.0f}s",
-        num_subscribers=num_subscribers,
-        items=len(trace),
-        publisher_msgs_per_item=stats.sent_messages / len(trace),
-        publisher_bytes_per_item=stats.sent_bytes / len(trace),
-        latency_p99=Summary.of(latencies).p99 if latencies else 0.0,
+    publish_at_origin(sim, origin, trace, "www")
+    sim.run_until(max(p.time for p in trace) + 2 * poll_interval)
+    return _row(
+        f"pull@{poll_interval:.0f}s", trace, network, origin, num_subscribers,
+        trace_log, "pull-deliver",
     )
 
 
@@ -192,9 +186,7 @@ def _run_cdn(
     """
     from repro.baselines.cdn import build_cdn, nearest_edge
 
-    sim = Simulation(seed=seed)
-    network = Network(sim, latency=HierarchicalLatency())
-    trace_log = TraceLog(sim, kinds={"pull-deliver"})
+    sim, network, trace_log = _baseline(seed, "pull-deliver")
     origin, edges = build_cdn(
         sim, network, num_edges, capacity_per_edge=100_000.0, trace=trace_log
     )
@@ -209,66 +201,37 @@ def _run_cdn(
             mode="delta",
             trace=trace_log,
         ).start()
-    for serial, publication in enumerate(trace, start=1):
-        sim.call_at(
-            publication.time,
-            origin.publish,
-            item_from_publication(publication, "cdn", serial),
-        )
-    horizon = max(p.time for p in trace) + 2 * poll_interval
-    sim.run_until(horizon)
-    latencies = [e["latency"] for e in trace_log.events("pull-deliver")]
-    stats = network.node_stats(origin.node_id)
-    return E3Row(
-        system=f"cdn@{num_edges}edges",
-        num_subscribers=num_subscribers,
-        items=len(trace),
-        publisher_msgs_per_item=stats.sent_messages / len(trace),
-        publisher_bytes_per_item=stats.sent_bytes / len(trace),
-        latency_p99=Summary.of(latencies).p99 if latencies else 0.0,
+    publish_at_origin(sim, origin, trace, "cdn")
+    sim.run_until(max(p.time for p in trace) + 2 * poll_interval)
+    return _row(
+        f"cdn@{num_edges}edges", trace, network, origin, num_subscribers,
+        trace_log, "pull-deliver",
     )
 
 
 def _run_newswire(
     num_subscribers: int, trace: Sequence[Publication], interests: InterestModel, seed: int
 ) -> E3Row:
-    config = NewsWireConfig()
-    system = build_newswire(
-        num_subscribers,
-        config,
-        publisher_names=("newswire",),
-        publisher_rate=100.0,
-        subscriptions_for=interests.subscriptions_for,
-        seed=seed,
+    system, _ = build_system(
+        SystemSpec(
+            num_nodes=num_subscribers,
+            subscriptions_for=interests.subscriptions_for,
+            publisher_rate=100.0,
+            seed=seed,
+            settle_rounds=2,
+        )
     )
-    system.run_for(2 * config.gossip.interval)
-    publisher = system.publisher("newswire")
     system.network.reset_node_stats()
     base = system.sim.now
-    shifted = [
-        Publication(
-            time=base + p.time,
-            subject=p.subject,
-            headline=p.headline,
-            body_words=p.body_words,
-            categories=p.categories,
-            urgency=p.urgency,
-        )
-        for p in trace
-    ]
-    drive_trace(system, "newswire", shifted)
+    drive_trace(
+        system, "newswire", [replace(p, time=base + p.time) for p in trace]
+    )
     system.sim.run_until(base + max(p.time for p in trace) + 30.0)
-    latencies = [e["latency"] for e in system.trace.events("deliver")]
-    stats = system.network.node_stats(publisher.node_id)
     # The publisher also gossips; count only its item traffic would be
     # unfair in NewsWire's favour, so report everything it sent.
-    return E3Row(
-        system="newswire",
-        num_subscribers=num_subscribers,
-        items=len(trace),
-        publisher_msgs_per_item=stats.sent_messages / len(trace),
-        publisher_bytes_per_item=stats.sent_bytes / len(trace),
-        latency_p99=Summary.of(latencies).p99 if latencies else 0.0,
+    return _row(
+        "newswire", trace, system.network, system.publisher("newswire"),
+        num_subscribers, system.trace, "deliver",
     )
 
 

@@ -21,10 +21,9 @@ flood aimed at the content source.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Optional, Sequence
 
-from repro.core.config import NewsWireConfig
-from repro.core.identifiers import ZonePath
+from repro.core.identifiers import ItemId, ZonePath
 from repro.sim.engine import Simulation
 from repro.sim.failures import FailureInjector
 from repro.sim.network import HierarchicalLatency, Network
@@ -32,18 +31,23 @@ from repro.sim.trace import TraceLog
 from repro.baselines.origin import OriginServer
 from repro.baselines.pull import PullClient
 from repro.experiments.common import (
+    SystemSpec,
+    TableResult,
+    build_system,
     drive_trace,
-    item_from_publication,
+    publish_at_origin,
+    story_trace,
+    validate_non_negative,
     validate_positive,
     validate_seed,
+    validate_sizes,
 )
 from repro.experiments.registry import register
 from repro.metrics.collectors import collect_delivery_stats, delivery_ratio
-from repro.metrics.report import format_table
 from repro.metrics.stats import Summary
-from repro.news.deployment import build_newswire
 from repro.pubsub.subscription import Subscription
-from repro.workloads.traces import Publication
+
+SUBJECT = "reuters/world"
 
 
 @dataclass(frozen=True)
@@ -56,36 +60,27 @@ class E4Row:
 
 
 @dataclass
-class E4Result:
+class E4Result(TableResult):
     rows: list[E4Row]
 
-    def report(self) -> str:
-        return format_table(
-            ["system", "flood req/s", "legit served", "delivery ratio",
-             "p90 latency (s)"],
-            [
-                (r.system, r.flood_rate, r.served_ratio, r.delivery_ratio,
-                 r.latency_p90)
-                for r in self.rows
-            ],
-            title=(
-                "E4: behaviour under DoS flood at the content source "
-                "(paper: pull origins collapse; NewsWire keeps delivering)"
-            ),
-        )
+    title = (
+        "E4: behaviour under DoS flood at the content source "
+        "(paper: pull origins collapse; NewsWire keeps delivering)"
+    )
+    columns = (
+        ("system", "system"),
+        ("flood req/s", "flood_rate"),
+        ("legit served", "served_ratio"),
+        ("delivery ratio", "delivery_ratio"),
+        ("p90 latency (s)", "latency_p90"),
+    )
 
 
-def _burst_trace(start: float, items: int, subject: str) -> list[Publication]:
-    return [
-        Publication(
-            time=start + index * 2.0,
-            subject=subject,
-            headline=f"breaking {index}",
-            body_words=150,
-            urgency=1,
-        )
-        for index in range(items)
-    ]
+def _burst_trace(start: float, items: int):
+    return story_trace(
+        start, items, (SUBJECT,), spacing=2.0, body_words=150,
+        headline="breaking", urgency=lambda index: 1,
+    )
 
 
 def _run_pull_under_flood(
@@ -95,7 +90,7 @@ def _run_pull_under_flood(
     seed: int,
     poll_interval: float = 30.0,
     capacity: float = 100.0,
-) -> E4Row:
+) -> tuple[E4Row, TraceLog]:
     sim = Simulation(seed=seed)
     network = Network(sim, latency=HierarchicalLatency())
     trace_log = TraceLog(sim, kinds={"pull-deliver"})
@@ -109,24 +104,15 @@ def _run_pull_under_flood(
             ZonePath.parse(f"/subs/s{index}"), sim, network, origin.node_id,
             poll_interval=poll_interval, mode="delta", trace=trace_log,
         ).start()
-    burst = _burst_trace(start=60.0, items=items, subject="reuters/world")
-    for serial, publication in enumerate(burst, start=1):
-        sim.call_at(
-            publication.time,
-            origin.publish,
-            item_from_publication(publication, "www", serial),
-        )
+    publish_at_origin(sim, origin, _burst_trace(60.0, items), "www")
     if flood_rate > 0:
         failures.flood(
             origin.node_id, rate=flood_rate, start=30.0, duration=300.0
         )
     sim.run_until(60.0 + items * 2.0 + 3 * poll_interval)
 
-    latencies = [e["latency"] for e in trace_log.events("pull-deliver")]
-    delivered_items = {
-        (e["node"], e["item"]) for e in trace_log.events("pull-deliver")
-    }
-    expected_total = num_clients * items
+    delivered = list(trace_log.events("pull-deliver"))  # events() is one-shot
+    latencies = [e["latency"] for e in delivered]
     served_ratio = (
         origin.stats.served / origin.stats.requests if origin.stats.requests else 0.0
     )
@@ -134,7 +120,9 @@ def _run_pull_under_flood(
         system="pull",
         flood_rate=flood_rate,
         served_ratio=served_ratio,
-        delivery_ratio=len(delivered_items) / expected_total,
+        delivery_ratio=(
+            len({(e["node"], e["item"]) for e in delivered}) / (num_clients * items)
+        ),
         latency_p90=Summary.of(latencies).p90 if latencies else float("inf"),
     )
     return row, trace_log
@@ -146,39 +134,45 @@ def _run_newswire_under_flood(
     items: int,
     seed: int,
     crash_publisher_after_burst: bool = True,
-) -> E4Row:
-    config = NewsWireConfig()
-    subject = "reuters/world"
+    *,
+    label: Optional[str] = None,
+    network: Mapping[str, float] = {},
+    flood_duration: float = 300.0,
+    flood_message_size: int = 1024,
+    drain_time: float = 60.0,
+) -> tuple[E4Row, TraceLog]:
     # Everyone subscribes to the breaking subject: a flash crowd.
-    system = build_newswire(
-        num_nodes,
-        config,
-        publisher_names=("reuters",),
-        publisher_rate=50.0,
-        subscriptions_for=lambda index: (Subscription(subject),),
-        seed=seed,
+    system, _ = build_system(
+        SystemSpec(
+            num_nodes=num_nodes,
+            subscriptions_for=lambda index: (Subscription(SUBJECT),),
+            publisher_names=("reuters",),
+            seed=seed,
+            settle_rounds=2,
+            network=network,
+        )
     )
-    system.run_for(2 * config.gossip.interval)
     publisher = system.publisher("reuters")
     start = system.sim.now + 10.0
-    burst = _burst_trace(start=start, items=items, subject=subject)
-    drive_trace(system, "reuters", burst)
+    drive_trace(system, "reuters", _burst_trace(start, items))
     if flood_rate > 0:
         system.deployment.failures.flood(
-            publisher.node_id, rate=flood_rate, start=start - 5.0, duration=300.0
+            publisher.node_id, rate=flood_rate, start=start - 5.0,
+            duration=flood_duration, message_size=flood_message_size,
         )
     if crash_publisher_after_burst:
         system.deployment.failures.crash_at(
             start + items * 2.0 + 0.5, publisher
         )
-    system.sim.run_until(start + items * 2.0 + 60.0)
+    system.sim.run_until(start + items * 2.0 + drain_time)
 
     expected = {
-        f"reuters:{serial}.r0": num_nodes for serial in range(1, items + 1)
+        str(ItemId("reuters", serial)): num_nodes for serial in range(1, items + 1)
     }
     stats = collect_delivery_stats(system.trace)
     row = E4Row(
-        system="newswire" + ("+pubcrash" if crash_publisher_after_burst else ""),
+        system=label
+        or "newswire" + ("+pubcrash" if crash_publisher_after_burst else ""),
         flood_rate=flood_rate,
         served_ratio=1.0,  # consumers never request anything from the publisher
         delivery_ratio=delivery_ratio(system.trace, expected, stats=stats),
@@ -204,6 +198,7 @@ def run_e4(
 ) -> E4Result:
     validate_positive("num_clients", num_clients)
     validate_positive("items", items)
+    validate_sizes("flood_rates", flood_rates, entry=validate_non_negative)
     validate_seed(seed)
     rows: list[E4Row] = []
     for flood_rate in flood_rates:
@@ -283,39 +278,15 @@ def run_e4_physical(
     completes because dissemination never transits the victim's
     downlink — consumers receive from their zone representatives.
     """
-    config = NewsWireConfig()
-    subject = "reuters/world"
-    system = build_newswire(
-        num_nodes,
-        config,
-        publisher_names=("reuters",),
-        publisher_rate=50.0,
-        subscriptions_for=lambda index: (Subscription(subject),),
-        seed=seed,
-        bandwidth=node_bandwidth,
-        ingress_bandwidth=node_bandwidth,
-    )
-    system.run_for(2 * config.gossip.interval)
-    publisher = system.publisher("reuters")
-    start = system.sim.now + 10.0
-    burst = _burst_trace(start=start, items=items, subject=subject)
-    drive_trace(system, "reuters", burst)
-    system.deployment.failures.flood(
-        publisher.node_id, rate=flood_rate, start=start - 5.0,
-        duration=600.0, message_size=flood_message_size,
-    )
-    system.sim.run_until(start + items * 2.0 + 90.0)
-    expected = {
-        f"reuters:{serial}.r0": num_nodes for serial in range(1, items + 1)
-    }
-    stats = collect_delivery_stats(system.trace)
-    return E4Row(
-        system="newswire(1Mbit links)",
-        flood_rate=flood_rate,
-        served_ratio=1.0,
-        delivery_ratio=delivery_ratio(system.trace, expected, stats=stats),
-        latency_p90=stats.summary.p90 if stats.summary.count else float("inf"),
-    )
+    validate_positive("flood_rate", flood_rate)
+    return _run_newswire_under_flood(
+        num_nodes, flood_rate, items, seed, crash_publisher_after_burst=False,
+        label="newswire(1Mbit links)",
+        network={"bandwidth": node_bandwidth, "ingress_bandwidth": node_bandwidth},
+        flood_duration=600.0,
+        flood_message_size=flood_message_size,
+        drain_time=90.0,
+    )[0]
 
 
 if __name__ == "__main__":

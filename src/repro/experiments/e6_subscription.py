@@ -22,12 +22,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core.config import GossipConfig, NewsWireConfig
-from repro.core.errors import ConfigurationError
-from repro.metrics.report import format_table
-from repro.news.deployment import build_newswire
 from repro.pubsub.subscription import Subscription
 from repro.workloads.scenarios import TECH_CATEGORIES, subjects_for
 from repro.experiments.common import (
+    SystemSpec,
+    TableResult,
+    build_system,
     validate_positive,
     validate_seed,
     validate_sizes,
@@ -43,28 +43,24 @@ class E6Row:
     first_delivery_s: Optional[float]
 
 
+def _or_timeout(attr: str):
+    return lambda row: "timeout" if getattr(row, attr) is None else getattr(row, attr)
+
+
 @dataclass
-class E6Result:
+class E6Result(TableResult):
     rows: list[E6Row]
 
-    def report(self) -> str:
-        return format_table(
-            ["nodes", "gossip interval (s)", "root visibility (s)",
-             "publish->deliver ready (s)"],
-            [
-                (
-                    r.num_nodes,
-                    r.gossip_interval,
-                    "timeout" if r.root_visibility_s is None else r.root_visibility_s,
-                    "timeout" if r.first_delivery_s is None else r.first_delivery_s,
-                )
-                for r in self.rows
-            ],
-            title=(
-                "E6: new-subscription propagation to the root "
-                "(paper claims within tens of seconds)"
-            ),
-        )
+    title = (
+        "E6: new-subscription propagation to the root "
+        "(paper claims within tens of seconds)"
+    )
+    columns = (
+        ("nodes", "num_nodes"),
+        ("gossip interval (s)", "gossip_interval"),
+        ("root visibility (s)", _or_timeout("root_visibility_s")),
+        ("publish->deliver ready (s)", _or_timeout("first_delivery_s")),
+    )
 
 
 @register(
@@ -93,10 +89,6 @@ def run_e6(
     validate_sizes("gossip_intervals", gossip_intervals)
     validate_positive("horizon", horizon)
     validate_seed(seed)
-    if backend not in ("object", "columnar"):
-        raise ConfigurationError(
-            f"backend must be 'object' or 'columnar', got {backend!r}"
-        )
     base_subjects = subjects_for(("newswire",), TECH_CATEGORIES)
     fresh_subject = "newswire/raresubject"
     rows: list[E6Row] = []
@@ -109,19 +101,20 @@ def run_e6(
             def base_subscriptions(i: int):
                 return (Subscription(base_subjects[i % len(base_subjects)]),)
 
+            system, _ = build_system(
+                SystemSpec(
+                    num_nodes=num_nodes,
+                    subscriptions_for=base_subscriptions,
+                    seed=seed + num_nodes,
+                    config=config,
+                    backend=backend,
+                    settle_rounds=2,
+                )
+            )
             # The new subscriber is the last node (different top zone
             # than node 0); the observer shares the publisher's top
             # zone, so visibility means the bit crossed the root.
             if backend == "columnar":
-                from repro.scale.backend import build_columnar
-
-                system = build_columnar(
-                    num_nodes,
-                    config,
-                    publisher_names=("newswire",),
-                    subscriptions_for=base_subscriptions,
-                    seed=seed + num_nodes,
-                )
                 subscriber_index = num_nodes - 1
                 subscriber_name = system.node_name(subscriber_index)
                 positions = system.scheme.hints_for(fresh_subject, "newswire")
@@ -133,13 +126,6 @@ def run_e6(
                     return system.root_subs_visible(1, positions)
 
             else:
-                system = build_newswire(
-                    num_nodes,
-                    config,
-                    publisher_names=("newswire",),
-                    subscriptions_for=base_subscriptions,
-                    seed=seed + num_nodes,
-                )
                 subscriber = system.nodes[-1]
                 observer = system.nodes[1]
                 subscriber_name = str(subscriber.node_id)
@@ -154,7 +140,6 @@ def run_e6(
                         (subs >> p) & 1 for p in positions
                     )
 
-            system.run_for(2 * interval)
             publisher = system.publisher("newswire")
 
             t_subscribe = system.sim.now

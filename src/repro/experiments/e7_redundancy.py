@@ -18,7 +18,12 @@ from typing import Sequence
 
 from repro.core.config import MulticastConfig, NewsWireConfig
 from repro.experiments.common import (
+    SystemSpec,
+    TableResult,
+    build_system,
     drive_trace,
+    expected_delivery_nodes,
+    story_trace,
     validate_fraction,
     validate_positive,
     validate_seed,
@@ -26,11 +31,7 @@ from repro.experiments.common import (
 )
 from repro.experiments.registry import SweepCell, register
 from repro.metrics.collectors import delivery_ratio
-from repro.metrics.report import format_table
-from repro.news.deployment import build_newswire
-from repro.workloads.populations import InterestModel
 from repro.workloads.scenarios import TECH_CATEGORIES, subjects_for
-from repro.workloads.traces import Publication
 
 
 @dataclass(frozen=True)
@@ -45,24 +46,22 @@ class E7Row:
 
 
 @dataclass
-class E7Result:
+class E7Result(TableResult):
     rows: list[E7Row]
 
-    def report(self) -> str:
-        return format_table(
-            ["reps", "repair", "loss", "crashes", "delivery ratio",
-             "dups/delivery", "repaired"],
-            [
-                (r.representatives, "on" if r.repair else "off", r.loss_rate,
-                 r.crash_fraction, r.delivery_ratio,
-                 r.duplicates_per_delivery, r.repair_deliveries)
-                for r in self.rows
-            ],
-            title=(
-                "E7: redundant representatives + bimodal repair vs loss/crashes "
-                "(paper §9: redundancy increases robustness; dups removed by id)"
-            ),
-        )
+    title = (
+        "E7: redundant representatives + bimodal repair vs loss/crashes "
+        "(paper §9: redundancy increases robustness; dups removed by id)"
+    )
+    columns = (
+        ("reps", "representatives"),
+        ("repair", lambda row: "on" if row.repair else "off"),
+        ("loss", "loss_rate"),
+        ("crashes", "crash_fraction"),
+        ("delivery ratio", "delivery_ratio"),
+        ("dups/delivery", "duplicates_per_delivery"),
+        ("repaired", "repair_deliveries"),
+    )
 
 
 def run_e7_cell(
@@ -88,29 +87,18 @@ def run_e7_cell(
             repair_interval=3.0,
         )
     )
-    interests = InterestModel(
-        subjects=subjects, subscriptions_per_node=3, seed=seed
-    )
-    system = build_newswire(
-        num_nodes,
-        config,
-        publisher_names=("newswire",),
-        publisher_rate=50.0,
-        subscriptions_for=interests.subscriptions_for,
-        seed=seed,
-        loss_rate=loss_rate,
-    )
-    system.run_for(2 * config.gossip.interval)
-    start = system.sim.now
-    trace = [
-        Publication(
-            time=start + index * 1.0,
-            subject=subjects[index % len(subjects)],
-            headline=f"story {index}",
-            body_words=120,
+    system, interests = build_system(
+        SystemSpec(
+            num_nodes=num_nodes,
+            subjects=subjects,
+            seed=seed,
+            config=config,
+            settle_rounds=2,
+            network={"loss_rate": loss_rate},
         )
-        for index in range(items)
-    ]
+    )
+    start = system.sim.now
+    trace = story_trace(start, items, subjects)
     drive_trace(system, "newswire", trace)
     if crash_fraction > 0:
         # Crash forwarders mid-dissemination; they stay down.
@@ -121,9 +109,12 @@ def run_e7_cell(
 
     # Crashed nodes cannot deliver; expectation covers survivors.
     crashed = {str(n.node_id) for n in system.nodes if n.crashed}
-    expected = _adjust_for_crashes(
-        interests, num_nodes, trace, "newswire", crashed, system
-    )
+    expected = {
+        item: len(nodes - crashed)
+        for item, nodes in expected_delivery_nodes(
+            interests, system, trace, "newswire"
+        ).items()
+    }
     deliveries = system.trace.count("deliver")
     dups = system.trace.count("dup-dropped")
     return E7Row(
@@ -196,40 +187,6 @@ def run_e7(
     return _e7_merge(
         kwargs, [cell.runner(**cell.kwargs) for cell in _e7_cells(kwargs)]
     )
-
-
-def _adjust_for_crashes(
-    interests: InterestModel,
-    num_nodes: int,
-    trace: Sequence[Publication],
-    publisher: str,
-    crashed: set[str],
-    system,
-) -> dict[str, int]:
-    """Expected deliveries counting only nodes that stayed up."""
-    alive_indices = [
-        index
-        for index, node in enumerate(system.nodes)
-        if str(node.node_id) not in crashed
-    ]
-    expected: dict[str, int] = {}
-    from repro.core.identifiers import ItemId
-
-    by_subject: dict[str, int] = {}
-    for serial, publication in enumerate(trace, start=1):
-        count = by_subject.get(publication.subject)
-        if count is None:
-            count = sum(
-                1
-                for index in alive_indices
-                if any(
-                    s.subject == publication.subject
-                    for s in interests.subscriptions_for(index)
-                )
-            )
-            by_subject[publication.subject] = count
-        expected[str(ItemId(publisher, serial))] = count
-    return expected
 
 
 if __name__ == "__main__":

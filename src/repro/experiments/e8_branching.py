@@ -18,19 +18,19 @@ from typing import Sequence
 
 from repro.core.config import NewsWireConfig
 from repro.experiments.common import (
+    SystemSpec,
+    TableResult,
+    build_system,
     drive_trace,
+    story_trace,
     validate_positive,
     validate_seed,
     validate_sizes,
 )
 from repro.experiments.registry import register
 from repro.metrics.collectors import delivery_latencies
-from repro.metrics.report import format_table
 from repro.metrics.stats import Summary
-from repro.news.deployment import build_newswire
-from repro.workloads.populations import InterestModel
 from repro.workloads.scenarios import TECH_CATEGORIES, subjects_for
-from repro.workloads.traces import Publication
 
 
 @dataclass(frozen=True)
@@ -44,23 +44,21 @@ class E8Row:
 
 
 @dataclass
-class E8Result:
+class E8Result(TableResult):
     rows: list[E8Row]
 
-    def report(self) -> str:
-        return format_table(
-            ["branching", "depth", "gossip B/node/s", "deliver p50 (s)",
-             "deliver p99 (s)", "forwards/item"],
-            [
-                (r.branching, r.depth, r.gossip_bytes_per_node_per_s,
-                 r.deliver_p50, r.deliver_p99, r.forwards_per_item)
-                for r in self.rows
-            ],
-            title=(
-                "E8: branching-factor trade-off at fixed N "
-                "(paper picks 64-row zone tables)"
-            ),
-        )
+    title = (
+        "E8: branching-factor trade-off at fixed N "
+        "(paper picks 64-row zone tables)"
+    )
+    columns = (
+        ("branching", "branching"),
+        ("depth", "depth"),
+        ("gossip B/node/s", "gossip_bytes_per_node_per_s"),
+        ("deliver p50 (s)", "deliver_p50"),
+        ("deliver p99 (s)", "deliver_p99"),
+        ("forwards/item", "forwards_per_item"),
+    )
 
 
 @register(
@@ -88,46 +86,32 @@ def run_e8(
     subjects = subjects_for(("newswire",), TECH_CATEGORIES)
     rows: list[E8Row] = []
     for branching in branchings:
-        config = NewsWireConfig(branching_factor=branching)
-        interests = InterestModel(
-            subjects=subjects, subscriptions_per_node=3, seed=seed
+        system, _ = build_system(
+            SystemSpec(
+                num_nodes=num_nodes,
+                subjects=subjects,
+                seed=seed,
+                config=NewsWireConfig(branching_factor=branching),
+                settle_rounds=2,
+            )
         )
-        system = build_newswire(
-            num_nodes,
-            config,
-            publisher_names=("newswire",),
-            publisher_rate=50.0,
-            subscriptions_for=interests.subscriptions_for,
-            seed=seed,
-        )
-        depth = max(node.node_id.depth for node in system.nodes)
-        system.run_for(2 * config.gossip.interval)
         system.network.reset_node_stats()
         start = system.sim.now
-        trace = [
-            Publication(
-                time=start + index * 1.0,
-                subject=subjects[index % len(subjects)],
-                headline=f"story {index}",
-                body_words=120,
-            )
-            for index in range(items)
-        ]
-        drive_trace(system, "newswire", trace)
+        drive_trace(system, "newswire", story_trace(start, items, subjects))
         system.sim.run_until(start + measure_time)
 
         total_bytes = sum(
             system.network.node_stats(node.node_id).sent_bytes
             for node in system.nodes
         )
-        latencies = delivery_latencies(system.trace)
+        latencies = Summary.of(delivery_latencies(system.trace))
         rows.append(
             E8Row(
                 branching=branching,
-                depth=depth,
+                depth=max(node.node_id.depth for node in system.nodes),
                 gossip_bytes_per_node_per_s=total_bytes / num_nodes / measure_time,
-                deliver_p50=Summary.of(latencies).p50 if latencies else 0.0,
-                deliver_p99=Summary.of(latencies).p99 if latencies else 0.0,
+                deliver_p50=latencies.p50,
+                deliver_p99=latencies.p99,
                 forwards_per_item=system.trace.count("forward") / items,
             )
         )

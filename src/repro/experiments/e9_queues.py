@@ -17,18 +17,20 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.config import MulticastConfig, NewsWireConfig, QUEUE_STRATEGIES
+from repro.core.errors import ConfigurationError
+from repro.core.identifiers import ItemId
 from repro.experiments.common import (
+    SystemSpec,
+    TableResult,
+    build_system,
     drive_trace,
+    story_trace,
     validate_positive,
     validate_seed,
 )
 from repro.experiments.registry import register
-from repro.metrics.report import format_table
 from repro.metrics.stats import Summary
-from repro.news.deployment import build_newswire
-from repro.workloads.populations import InterestModel
 from repro.workloads.scenarios import TECH_CATEGORIES, subjects_for
-from repro.workloads.traces import Publication
 
 
 @dataclass(frozen=True)
@@ -44,23 +46,23 @@ class E9Row:
 
 
 @dataclass
-class E9Result:
+class E9Result(TableResult):
     rows: list[E9Row]
 
-    def report(self) -> str:
-        return format_table(
-            ["strategy", "deliveries", "p50 (s)", "p99 (s)", "urgent p50",
-             "urgent p99", "peak backlog", "mean queue wait (s)"],
-            [
-                (r.strategy, r.deliveries, r.all_p50, r.all_p99, r.urgent_p50,
-                 r.urgent_p99, r.publisher_peak_backlog, r.publisher_mean_wait)
-                for r in self.rows
-            ],
-            title=(
-                "E9: forwarding-queue strategies under a constrained uplink "
-                "(the open question of §9)"
-            ),
-        )
+    title = (
+        "E9: forwarding-queue strategies under a constrained uplink "
+        "(the open question of §9)"
+    )
+    columns = (
+        ("strategy", "strategy"),
+        ("deliveries", "deliveries"),
+        ("p50 (s)", "all_p50"),
+        ("p99 (s)", "all_p99"),
+        ("urgent p50", "urgent_p50"),
+        ("urgent p99", "urgent_p99"),
+        ("peak backlog", "publisher_peak_backlog"),
+        ("mean queue wait (s)", "publisher_mean_wait"),
+    )
 
 
 @register(
@@ -83,6 +85,8 @@ def run_e9(
     validate_positive("items", items)
     validate_positive("send_rate", send_rate)
     validate_seed(seed)
+    if not strategies:
+        raise ConfigurationError("strategies must not be empty")
     subjects = subjects_for(("newswire",), TECH_CATEGORIES)
     rows: list[E9Row] = []
     for strategy in strategies:
@@ -94,72 +98,54 @@ def run_e9(
                 send_to_representatives=1,
             ),
         )
-        interests = InterestModel(
-            subjects=subjects, subscriptions_per_node=3, seed=seed
+        system, _ = build_system(
+            SystemSpec(
+                num_nodes=num_nodes,
+                subjects=subjects,
+                seed=seed,
+                publisher_rate=1000.0,
+                config=config,
+                settle_rounds=2,
+            )
         )
-        system = build_newswire(
-            num_nodes,
-            config,
-            publisher_names=("newswire",),
-            publisher_rate=1000.0,
-            subscriptions_for=interests.subscriptions_for,
-            seed=seed,
-        )
-        system.run_for(2 * config.gossip.interval)
         publisher = system.publisher("newswire")
         start = system.sim.now
         # A burst: everything lands at nearly the same instant; one in
         # five items is urgent (breaking news).
-        trace = [
-            Publication(
-                time=start + 0.01 * index,
-                subject=subjects[index % len(subjects)],
-                headline=f"story {index}",
-                body_words=120,
-                urgency=1 if index % 5 == 0 else 6,
-            )
-            for index in range(items)
-        ]
+        trace = story_trace(
+            start, items, subjects, spacing=0.01,
+            urgency=lambda index: 1 if index % 5 == 0 else 6,
+        )
         drive_trace(system, "newswire", trace)
         system.sim.run_until(start + 120.0)
 
-        all_latencies: list[float] = []
-        urgent_latencies: list[float] = []
-        urgent_serials = {index + 1 for index in range(items) if index % 5 == 0}
-        for event in system.trace.events("deliver"):
-            latency = event.get("latency")
-            if latency is None:
-                continue
-            all_latencies.append(latency)
-            item = event.get("item", "")
-            serial = _serial_of(item)
-            if serial in urgent_serials:
-                urgent_latencies.append(latency)
+        urgent_items = {
+            str(ItemId("newswire", serial))
+            for serial, publication in enumerate(trace, start=1)
+            if publication.urgency == 1
+        }
+        deliveries = [
+            event for event in system.trace.events("deliver")
+            if event.get("latency") is not None
+        ]
+        everything = Summary.of(event["latency"] for event in deliveries)
+        urgent = Summary.of(
+            event["latency"] for event in deliveries
+            if event.get("item") in urgent_items
+        )
         rows.append(
             E9Row(
                 strategy=strategy,
-                deliveries=len(all_latencies),
-                all_p50=Summary.of(all_latencies).p50 if all_latencies else 0.0,
-                all_p99=Summary.of(all_latencies).p99 if all_latencies else 0.0,
-                urgent_p50=(
-                    Summary.of(urgent_latencies).p50 if urgent_latencies else 0.0
-                ),
-                urgent_p99=(
-                    Summary.of(urgent_latencies).p99 if urgent_latencies else 0.0
-                ),
+                deliveries=everything.count,
+                all_p50=everything.p50,
+                all_p99=everything.p99,
+                urgent_p50=urgent.p50,
+                urgent_p99=urgent.p99,
                 publisher_peak_backlog=publisher.queues.stats.max_backlog,
                 publisher_mean_wait=publisher.queues.stats.mean_wait,
             )
         )
     return E9Result(rows)
-
-
-def _serial_of(item: str) -> int:
-    """Parse the serial out of an ``ItemId`` string like ``pub:7.r0``."""
-    try:
-        return int(item.split(":")[1].split(".")[0])
-    except (IndexError, ValueError):
-        return -1
 
 
 if __name__ == "__main__":

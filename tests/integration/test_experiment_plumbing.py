@@ -1,5 +1,6 @@
 """Tests for the experiment helpers and the runner registry."""
 
+import dataclasses
 import json
 import os
 import re
@@ -20,11 +21,14 @@ from repro.experiments import (
 )
 from repro.experiments.common import (
     SystemSpec,
+    TableResult,
     body_text,
     build_system,
     drive_trace,
     expected_deliveries,
     item_from_publication,
+    publish_at_origin,
+    story_trace,
     validate_fraction,
     validate_positive,
     validate_seed,
@@ -32,9 +36,11 @@ from repro.experiments.common import (
 )
 from repro.experiments.__main__ import _run_one, main
 from repro.experiments.registry import RunOptions
+from repro.metrics.report import format_table
 from repro.news.deployment import build_newswire
 from repro.obs.manifest import manifest_schema_errors
 from repro.pubsub.subscription import Subscription
+from repro.sim.engine import Simulation
 from repro.workloads.populations import InterestModel
 from repro.workloads.traces import Publication
 
@@ -88,6 +94,56 @@ class TestCommonHelpers:
         assert stats.published == 2
         assert stats.flow_controlled == 4
 
+    def test_story_trace_spacing_cycling_and_urgency(self):
+        trace = story_trace(
+            10.0, 5, ("a/b", "a/c"), spacing=0.5, body_words=7,
+            headline="breaking", urgency=lambda index: 1 if index % 2 else 6,
+        )
+        assert [p.time for p in trace] == [10.0, 10.5, 11.0, 11.5, 12.0]
+        assert [p.subject for p in trace] == ["a/b", "a/c", "a/b", "a/c", "a/b"]
+        assert [p.urgency for p in trace] == [6, 1, 6, 1, 6]
+        assert trace[3].headline == "breaking 3" and trace[3].body_words == 7
+        plain = story_trace(0.0, 2, ("a/b",))
+        assert plain[1] == Publication(
+            time=1.0, subject="a/b", headline="story 1", body_words=120
+        )
+
+    def test_publish_at_origin_numbers_serials_in_trace_order(self):
+        class Origin:
+            def __init__(self, sim):
+                self.sim, self.seen = sim, []
+
+            def publish(self, item):
+                self.seen.append((self.sim.now, str(item.item_id), item.subject))
+
+        sim = Simulation(seed=0)
+        origin = Origin(sim)
+        publish_at_origin(sim, origin, story_trace(2.0, 3, ("a/b", "a/c")), "www")
+        sim.run()
+        assert origin.seen == [
+            (2.0, "www:1.r0", "a/b"), (3.0, "www:2.r0", "a/c"), (4.0, "www:3.r0", "a/b"),
+        ]
+
+    def test_table_result_declares_each_column_once(self):
+        class Result(TableResult):
+            title = "T: a table"
+            columns = (
+                ("nodes", "num_nodes"),
+                ("state", lambda row: "n/a" if row.state is None else row.state),
+            )
+
+            def __init__(self, rows):
+                self.rows = rows
+
+        class Row:
+            def __init__(self, num_nodes, state):
+                self.num_nodes, self.state = num_nodes, state
+
+        rows = [Row(1000, None), Row(20, 0.25)]
+        assert Result(rows).report() == format_table(
+            ["nodes", "state"], [(1000, "n/a"), (20, 0.25)], title="T: a table"
+        )
+
 
 class TestValidationHelpers:
     def test_validate_positive_rejects_zero_and_bool(self):
@@ -137,15 +193,46 @@ class TestBuildSystem:
         with pytest.raises(ConfigurationError):
             build_system(SystemSpec(num_nodes=10, subjects=()))
 
-    def test_columnar_backend_is_simulator_only(self):
-        with pytest.raises(ConfigurationError, match="simulator only"):
+    def test_explicit_subscriptions_need_no_interest_model(self):
+        system, interests = build_system(
+            SystemSpec(
+                num_nodes=12,
+                subscriptions_for=lambda index: (Subscription("a/b"),),
+            )
+        )
+        assert interests is None
+        assert all(
+            [s.subject for s in node.subscriptions] == ["a/b"]
+            for node in system.nodes
+        )
+        with pytest.raises(ConfigurationError, match="subscriptions_for"):
+            build_system(SystemSpec(num_nodes=12))  # neither source of interests
+
+    def test_settle_rounds_run_before_the_system_is_handed_over(self):
+        spec = SystemSpec(num_nodes=12, subjects=("a/b",), settle_rounds=2)
+        for backend in ("object", "columnar"):
+            system, _ = build_system(dataclasses.replace(spec, backend=backend))
+            assert system.sim.now == 2 * NewsWireConfig().gossip.interval
+        unsettled, _ = build_system(SystemSpec(num_nodes=12, subjects=("a/b",)))
+        assert unsettled.sim.now == 0.0
+
+    def test_network_shaping_reaches_the_object_network_only(self):
+        system, _ = build_system(
+            SystemSpec(num_nodes=12, subjects=("a/b",), network={"loss_rate": 0.05})
+        )
+        assert system.network.loss_rate == 0.05
+        with pytest.raises(ConfigurationError, match=r"\['bandwidth', 'loss_rate'\]"):
             build_system(
                 SystemSpec(
-                    num_nodes=10,
+                    num_nodes=12,
                     subjects=("a/b",),
                     backend="columnar",
-                    runtime=object(),  # any live runtime
+                    network={"loss_rate": 0.05, "bandwidth": 1e6},
                 )
+            )
+        with pytest.raises(ConfigurationError, match="runtime"):
+            build_system(
+                SystemSpec(num_nodes=12, subjects=("a/b",), network={"runtime": None})
             )
 
 
