@@ -28,35 +28,10 @@ from typing import Optional
 from repro.core.config import BloomConfig, NewsWireConfig
 from repro.metrics.report import format_table
 from repro.pubsub.engine import build_pubsub
-from repro.pubsub.schemes import (
-    BloomScheme,
-    StabilizingScheme,
-    SubgroupScheme,
-    SubscriptionScheme,
-)
+from repro.pubsub.schemes import SCHEME_NAMES, scheme_by_name
 from repro.workloads.populations import InterestModel
 from repro.experiments.common import validate_seed
 from repro.experiments.registry import SweepCell, register
-
-#: The scheme ladder E12 sweeps, flat baselines first.
-E12_SCHEMES: tuple[str, ...] = (
-    "bloom",
-    "subgroup",
-    "stabilizing-bloom",
-    "stabilizing-subgroup",
-)
-
-
-def _scheme_instance(name: str, config: NewsWireConfig) -> SubscriptionScheme:
-    if name == "bloom":
-        return BloomScheme(config.bloom)
-    if name == "subgroup":
-        return SubgroupScheme(config.bloom)
-    if name == "stabilizing-bloom":
-        return StabilizingScheme(BloomScheme(config.bloom))
-    if name == "stabilizing-subgroup":
-        return StabilizingScheme(SubgroupScheme(config.bloom))
-    raise ValueError(f"unknown scheme {name!r}; choose from {E12_SCHEMES}")
 
 
 @dataclass(frozen=True)
@@ -161,7 +136,7 @@ def run_e12_cell(
         branching_factor=8,
         bloom=BloomConfig(num_bits=num_bits, num_hashes=num_hashes),
     )
-    the_scheme = _scheme_instance(scheme, config)
+    the_scheme = scheme_by_name(scheme, config.bloom)
     interests = InterestModel(
         subjects=subjects,
         subscriptions_per_node=subscriptions_per_node,
@@ -255,7 +230,7 @@ def _e12_cells(kwargs: dict) -> list[SweepCell]:
             runner=run_e12_cell,
             kwargs={"scheme": name, **kwargs},
         )
-        for index, name in enumerate(E12_SCHEMES)
+        for index, name in enumerate(SCHEME_NAMES)
     ]
 
 

@@ -45,7 +45,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
 from repro.core.bitmask import CategoryMask, CategoryRegistry
 from repro.core.bloom import BloomFilter, bit_positions, positions_mask
 from repro.core.config import BloomConfig
-from repro.core.errors import SubscriptionError
+from repro.core.errors import ConfigurationError, SubscriptionError
 from repro.core.identifiers import ZonePath
 from repro.astrolabe.certificates import AggregationCertificate, KeyChain
 from repro.astrolabe.mib import AttributeValue
@@ -616,3 +616,25 @@ def categories_registry(publisher_categories: Mapping[str, Iterable[str]]) -> Di
             registry.register(category)
         registries[publisher] = registry
     return registries
+
+
+#: The forwarding-scheme ladder by name, flat baselines first: what E12
+#: sweeps and what a testkit scenario may run under (docs/ROUTING.md).
+SCHEME_NAMES: tuple[str, ...] = (
+    "bloom",
+    "subgroup",
+    "stabilizing-bloom",
+    "stabilizing-subgroup",
+)
+
+
+def scheme_by_name(name: str, bloom_config: BloomConfig) -> SubscriptionScheme:
+    """Build the rung of :data:`SCHEME_NAMES` called ``name`` over
+    ``bloom_config``'s filter geometry."""
+    if name not in SCHEME_NAMES:
+        raise ConfigurationError(
+            f"unknown scheme {name!r}; choose from {SCHEME_NAMES}"
+        )
+    flat = SubgroupScheme if name.endswith("subgroup") else BloomScheme
+    scheme = flat(bloom_config)
+    return StabilizingScheme(scheme) if name.startswith("stabilizing-") else scheme

@@ -18,16 +18,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Union
 
-from repro.core.config import QUEUE_STRATEGIES, MulticastConfig, NewsWireConfig
+from repro.core.config import (
+    QUEUE_STRATEGIES,
+    BloomConfig,
+    MulticastConfig,
+    NewsWireConfig,
+)
 from repro.core.errors import ConfigurationError
 from repro.experiments.common import drive_trace, expected_delivery_nodes
 from repro.news.deployment import NEWSWIRE_TRACE_KINDS, build_newswire
-from repro.pubsub.schemes import (
-    BloomScheme,
-    StabilizingScheme,
-    SubgroupScheme,
-    SubscriptionScheme,
-)
+from repro.pubsub.schemes import scheme_by_name
 from repro.sim.failures import FailureEvent, FailureInjector, FailureSchedule
 from repro.testkit.invariants import InvariantChecker, InvariantSuite, Violation
 from repro.workloads.populations import InterestModel, zipf_weights
@@ -36,13 +36,11 @@ from repro.workloads.traces import Publication
 
 __all__ = [
     "SCENARIO_PROFILES",
-    "SCENARIO_SCHEMES",
     "TESTKIT_TRACE_KINDS",
     "FuzzScenario",
     "ScenarioResult",
     "run_scenario",
     "sample_scenario",
-    "scheme_instance",
 ]
 
 #: The news-layer kinds plus node lifecycle milestones — the
@@ -54,33 +52,10 @@ TESTKIT_TRACE_KINDS = NEWSWIRE_TRACE_KINDS | {"node-crash", "node-recover"}
 #: degenerates and scenarios stop exercising forwarding at all.
 MIN_NODES = 8
 
-#: Forwarding schemes a scenario may run under (docs/ROUTING.md).
-SCENARIO_SCHEMES = (
-    "bloom",
-    "subgroup",
-    "stabilizing-bloom",
-    "stabilizing-subgroup",
-)
-
 #: Sampling profiles: ``default`` is the classic crash/partition/loss
 #: mix; ``routing`` adds interest churn storms plus summary corruption
 #: under a stabilizing scheme, targeting ``routing-stabilizes``.
 SCENARIO_PROFILES = ("default", "routing")
-
-
-def scheme_instance(name: str, config: NewsWireConfig) -> SubscriptionScheme:
-    """Build the named forwarding scheme against ``config``'s Bloom."""
-    if name == "bloom":
-        return BloomScheme(config.bloom)
-    if name == "subgroup":
-        return SubgroupScheme(config.bloom)
-    if name == "stabilizing-bloom":
-        return StabilizingScheme(BloomScheme(config.bloom))
-    if name == "stabilizing-subgroup":
-        return StabilizingScheme(SubgroupScheme(config.bloom))
-    raise ConfigurationError(
-        f"unknown scheme {name!r}; choose from {SCENARIO_SCHEMES}"
-    )
 
 
 @dataclass(frozen=True)
@@ -104,14 +79,11 @@ class FuzzScenario:
     branching_factor: int = 8
     #: 2 turns on redundant-representative forwarding (§9 duplicates).
     send_to_representatives: int = 1
-    #: Forwarding scheme (one of :data:`SCENARIO_SCHEMES`).
+    #: Forwarding scheme (one of :data:`repro.pubsub.schemes.SCHEME_NAMES`).
     scheme: str = "bloom"
 
     def validate(self) -> "FuzzScenario":
-        if self.scheme not in SCENARIO_SCHEMES:
-            raise ConfigurationError(
-                f"unknown scheme {self.scheme!r}; choose from {SCENARIO_SCHEMES}"
-            )
+        scheme_by_name(self.scheme, BloomConfig())  # refuses an unknown name
         if self.num_nodes < MIN_NODES:
             raise ConfigurationError(
                 f"num_nodes must be >= {MIN_NODES}, got {self.num_nodes}"
@@ -408,7 +380,7 @@ def run_scenario(
     system = build_newswire(
         scenario.num_nodes,
         config,
-        scheme=scheme_instance(scenario.scheme, config),
+        scheme=scheme_by_name(scenario.scheme, config.bloom),
         publisher_names=(scenario.publisher,),
         publisher_rate=50.0,
         subscriptions_for=interests.subscriptions_for,

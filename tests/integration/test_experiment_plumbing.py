@@ -30,6 +30,7 @@ from repro.experiments.common import (
     publish_at_origin,
     story_trace,
     validate_fraction,
+    validate_non_negative,
     validate_positive,
     validate_seed,
     validate_sizes,
@@ -170,6 +171,21 @@ class TestValidationHelpers:
         validate_seed(7)
         with pytest.raises(ConfigurationError):
             validate_seed("7")
+
+    def test_validate_sizes_takes_another_entry_rule(self):
+        validate_sizes("rates", (0.0, 5.0), entry=validate_non_negative)
+        with pytest.raises(ConfigurationError, match="rates entry"):
+            validate_sizes("rates", (0.0, -5.0), entry=validate_non_negative)
+
+    def test_sweep_axes_refuse_empty_and_negative_values(self):
+        # Regressions: a "-5 req/s flood" row that ran no flood, and
+        # empty tables from empty axes.
+        with pytest.raises(ConfigurationError, match="flood_rates"):
+            get_spec("e4").runner(flood_rates=(-5.0,))
+        with pytest.raises(ConfigurationError, match="flood_rates"):
+            get_spec("e4").runner(flood_rates=())
+        with pytest.raises(ConfigurationError, match="strategies"):
+            get_spec("e9").runner(strategies=())
 
 
 class TestBuildSystem:

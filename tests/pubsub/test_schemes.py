@@ -3,13 +3,17 @@
 import pytest
 
 from repro.core.config import BloomConfig
-from repro.core.errors import SubscriptionError
+from repro.core.errors import ConfigurationError, SubscriptionError
 from repro.astrolabe.aql import AqlProgram
 from repro.astrolabe.certificates import KeyChain
 from repro.pubsub.schemes import (
+    SCHEME_NAMES,
     BloomScheme,
     PublisherMaskScheme,
+    StabilizingScheme,
+    SubgroupScheme,
     categories_registry,
+    scheme_by_name,
 )
 from repro.pubsub.subscription import Subscription
 
@@ -123,3 +127,30 @@ class TestPublisherMaskScheme:
     def test_missing_publisher_attribute_fails_open(self):
         hints = self.scheme.hints_for("slashdot/tech", "slashdot")
         assert self.scheme.zone_may_match({}, hints)
+
+
+class TestSchemeLadder:
+    """One name -> scheme table for E12, the testkit and the fuzzer."""
+
+    def test_every_rung_builds_its_scheme_over_the_given_geometry(self):
+        config = BloomConfig(num_bits=256, num_hashes=2)
+        built = {name: scheme_by_name(name, config) for name in SCHEME_NAMES}
+        assert list(built) == [
+            "bloom", "subgroup", "stabilizing-bloom", "stabilizing-subgroup",
+        ]
+        assert type(built["bloom"]) is BloomScheme
+        assert type(built["subgroup"]) is SubgroupScheme
+        for name, flat in (("stabilizing-bloom", BloomScheme),
+                           ("stabilizing-subgroup", SubgroupScheme)):
+            assert type(built[name]) is StabilizingScheme
+            assert type(built[name].inner) is flat
+            assert built[name].stabilizes and not built[name].inner.stabilizes
+        assert built["bloom"].config is config
+
+    def test_unknown_name_is_a_configuration_error_everywhere(self):
+        from repro.experiments.e12_routing import run_e12_cell
+
+        with pytest.raises(ConfigurationError, match="nope.*stabilizing-subgroup"):
+            scheme_by_name("nope", BloomConfig())
+        with pytest.raises(ConfigurationError, match="unknown scheme 'nope'"):
+            run_e12_cell(scheme="nope")  # a ValueError before the ladders merged

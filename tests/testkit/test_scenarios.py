@@ -120,6 +120,7 @@ class TestFuzzScenario:
             {"branching_factor": 1},
             {"send_to_representatives": 3},
             {"queue_strategy": "mystery"},
+            {"scheme": "nope"},
             {"subjects": ()},
             {"publications": ()},
             {"drain_time": 0.0},
