@@ -82,11 +82,19 @@ class E3Result(TableResult):
 
 
 def _make_trace(items: int, subjects: Sequence[str], seed: int) -> list[Publication]:
+    """Exactly ``items`` Poisson arrivals.  One segment of the expected
+    length can come up short, or empty, so further segments are drawn
+    from the same rng, each starting where the last one ended."""
     rng = random.Random(seed)
-    base = poisson_trace(
-        rate_per_hour=360.0, duration=items * 12.0, subjects=list(subjects), rng=rng
-    )
-    return base[:items]
+    trace: list[Publication] = []
+    start = 0.0
+    while len(trace) < items:
+        trace += poisson_trace(
+            rate_per_hour=360.0, duration=items * 12.0, subjects=list(subjects),
+            rng=rng, start=start,
+        )
+        start += items * 12.0
+    return trace[:items]
 
 
 def _baseline(seed: int, kind: str) -> tuple[Simulation, Network, TraceLog]:

@@ -252,6 +252,21 @@ class TestBuildSystem:
             )
 
 
+class TestE3Workload:
+    """Regression: one truncated Poisson draw gave ``run_e3(items=N)``
+    at most N items — 4 of 5 at ``--quick``, and a ZeroDivisionError
+    when the draw came back empty (``items=1`` at seeds 0, 2, 6)."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_one_item_is_one_item_at_every_seed(self, seed):
+        rows = get_spec("e3").runner(sizes=(10,), items=1, seed=seed).rows
+        assert [row.items for row in rows] == [1, 1, 1, 1]
+
+    def test_quick_size_publishes_all_five(self):
+        rows = get_spec("e3").runner(sizes=(10,), items=5, seed=0).rows
+        assert [row.items for row in rows] == [5, 5, 5, 5]
+
+
 class TestRunnerRegistry:
     def test_registry_covers_e1_to_e12(self):
         assert set(experiment_names()) == {f"e{i}" for i in range(1, 13)}
