@@ -3,7 +3,9 @@
 These assert the *direction* of each paper claim (who wins, roughly by
 how much), not absolute numbers.  Each runs at small parameters; the
 ``full`` inputs (``@pytest.mark.slow``) are the experiments' default
-sizes, the ones EXPERIMENTS.md records.
+sizes, the ones EXPERIMENTS.md records — except E3's, which is the
+smallest sweep that still separates its claim (the default's
+2000-node point alone took 86 s).
 """
 
 import functools
@@ -82,8 +84,9 @@ class TestE3PublisherLoad:
             # 4x the nodes.  Below ~1000 nodes the publisher's gossip
             # background outweighs what it saves in item bytes.
             pytest.param((50, 200), 5, 3.0, 2.0, None, id="small"),
-            # 20x the nodes.
-            full((100, 500, 2000), 10, 10.0, 4.0, 0.5),
+            # 10x the nodes: push grows 9.97x, NewsWire 1.63x at 0.39 of
+            # push's bytes (the default (100, 500, 2000) sweep: 86 s more).
+            full((100, 1000), 10, 8.0, 3.0, 0.5),
         ],
     )
     def test_newswire_publisher_load_sublinear(
