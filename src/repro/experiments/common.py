@@ -62,6 +62,10 @@ def validate_seed(value) -> None:
 # Standard system construction
 # ----------------------------------------------------------------------
 
+#: The ``build_newswire`` parameters ``SystemSpec.network`` may carry.
+NETWORK_KEYS = ("loss_rate", "bandwidth", "ingress_bandwidth")
+
+
 @dataclass(frozen=True)
 class SystemSpec:
     """Declarative description of the standard experiment deployment —
@@ -133,10 +137,6 @@ class SystemSpec:
                 f"drop {sorted(self.network)} or use backend='object'"
             )
         return self
-
-
-#: The ``build_newswire`` parameters ``SystemSpec.network`` may carry.
-NETWORK_KEYS = ("loss_rate", "bandwidth", "ingress_bandwidth")
 
 
 def build_system(spec: SystemSpec) -> tuple:
