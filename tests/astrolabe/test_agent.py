@@ -8,6 +8,9 @@ from repro.core.identifiers import ZonePath
 from repro.astrolabe.agent import AstrolabeAgent
 from repro.astrolabe.certificates import AggregationCertificate, KeyChain
 from repro.astrolabe.deployment import build_astrolabe
+from repro.astrolabe.messages import GossipFinish
+from repro.astrolabe.mib import Row
+from repro.gossip.antientropy import Entry
 from repro.runtime.sim import SimRuntime
 
 
@@ -111,6 +114,19 @@ class TestAggregation:
         with pytest.raises(CertificateError):
             deployment.agents[0].install_aggregation(bad)
 
+    def test_compiler_bug_is_not_relabelled_a_rejection(self, deployment, monkeypatch):
+        """Only AQL errors mean "does not parse"; anything else is a bug
+        and must propagate instead of becoming a silent cert-rejected."""
+        def broken(source):
+            raise RuntimeError("compiler bug")
+
+        monkeypatch.setattr("repro.astrolabe.agent.compile_program", broken)
+        cert = AggregationCertificate.issue(
+            "fine", "SELECT COUNT(*) AS fine_n", "admin", deployment.keychain
+        )
+        with pytest.raises(RuntimeError, match="compiler bug"):
+            deployment.agents[0].install_aggregation(cert)
+
     def test_unsigned_certificate_rejected(self, deployment):
         rogue_chain = KeyChain()
         rogue_chain.register("admin")  # different derived secret? no — same
@@ -174,6 +190,49 @@ class TestFailureHandling:
             agent.root_aggregate("nmembers") == 24
             for agent in deployment.alive_agents()
         )
+
+
+class TestMergeWindow:
+    """Incoming rows must be stamped within one row TTL of the clock."""
+
+    @staticmethod
+    def _pair(deployment):
+        owner = deployment.agents[0]
+        receiver = next(
+            agent for agent in deployment.agents[1:]
+            if agent.parent_zone == owner.parent_zone
+        )
+        return owner, receiver, owner.parent_zone, owner.node_id.name
+
+    @staticmethod
+    def _deliver(receiver, sender, zone, label, row):
+        delta = {zone: {label: Entry(row.version, row)}}
+        receiver.on_message(sender.node_id, GossipFinish(zone, delta, {}))
+
+    def test_future_stamped_row_is_rejected_and_counted(self, deployment):
+        deployment.run_rounds(2)
+        owner, receiver, zone, label = self._pair(deployment)
+        metrics = deployment.metrics
+        assert "gossip.rows_rejected_future" not in metrics
+        honest = receiver.zone_table(zone).row(label)
+        writer = str(owner.node_id)
+        forged = Row(dict(honest.mapping, load=99.0), (owner.now + 1000.0, writer), writer)
+        self._deliver(receiver, owner, zone, label, forged)
+        assert receiver.zone_table(zone).row(label) == honest
+        assert metrics.counter("gossip.rows_rejected_future").value == 1
+
+        owner.set_load(4.0)  # the owner's next refresh wins
+        self._deliver(receiver, owner, zone, label, owner.own_row())
+        assert receiver.zone_table(zone).row(label)["load"] == 4.0
+
+    def test_row_within_the_window_is_admitted(self, deployment):
+        owner, receiver, zone, label = self._pair(deployment)
+        ttl = deployment.config.gossip.interval * deployment.config.gossip.row_ttl_rounds
+        writer = str(owner.node_id)
+        row = Row(dict(owner.own_row().mapping), (owner.now + ttl, writer), writer)
+        self._deliver(receiver, owner, zone, label, row)
+        assert receiver.zone_table(zone).row(label) == row
+        assert "gossip.rows_rejected_future" not in deployment.metrics
 
 
 class TestJoin:
