@@ -91,11 +91,24 @@ class TestBasics:
         assert changed == ["a"]
         assert store.apply_delta({"a": Entry((1.0, "x"), 1)}) == []
 
-    def test_put_entry_shares_object(self):
+    def test_merge_shares_object(self):
         store = VersionedStore()
         entry = Entry((1.0, "x"), 1)
-        store.put_entry("a", entry)
+        assert store.merge({"a": entry}) == (["a"], [None], 0)
         assert store.entry("a") is entry
+
+    def test_merge_bounds_and_capacity(self):
+        store = VersionedStore()
+        old = Entry((1.0, "x"), 1)
+        store.merge({"a": old})
+        delta = {
+            "a": Entry((2.0, "x"), 2),
+            "b": Entry((0.5, "x"), 3),   # older than min_timestamp
+            "c": Entry((9.0, "x"), 4),   # newer than max_timestamp
+            "d": Entry((2.0, "x"), 5),   # new key, store at capacity
+        }
+        assert store.merge(delta, 1.0, 5.0, capacity=1) == (["a"], [old], 1)
+        assert store.generation == 2
 
     def test_expire(self):
         store = VersionedStore()
@@ -192,7 +205,7 @@ class TestIncrementalDigest:
     @settings(max_examples=50)
     def test_digest_consistent_after_sync(self, writes_a, writes_b):
         a, b = store_of(writes_a), store_of(writes_b)
-        sync(a, b)  # exercises put_entry/apply_delta maintenance
+        sync(a, b)  # exercises merge/apply_delta maintenance
         assert a.digest() == self.rebuilt(a)
         assert b.digest() == self.rebuilt(b)
 
