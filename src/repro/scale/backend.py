@@ -34,7 +34,8 @@ chain at its publish.
 
 Not modeled here (use the object backend): publish flow control and
 credential checks, zone-scoped publishes, message loss/partitions,
-repair anti-entropy for items, and live runtimes.
+repair anti-entropy for items, live runtimes, and subscription
+predicates or wildcard subjects (refused, not ignored).
 """
 
 from __future__ import annotations
@@ -147,7 +148,11 @@ class ColumnarNewsWire:
         self.gossip = gossip
         self.seed = seed
         self.publishers: Dict[str, ColumnarPublisher] = {}
-        self._subject_ids: Dict[str, int] = {}
+        #: subject -> ``(sid, Bloom mask)``, one hash per distinct subject.
+        self._subjects: Dict[str, Tuple[int, int]] = {}
+        #: Interest classes: a node's sid tuple -> the ``(sids, mask)``
+        #: pair every node of that class shares in ``columns``.
+        self._classes: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], int]] = {}
         self._bands = HierarchicalLatency().bands
         self._walk_serial = 0
         self._deployment: Optional[_DeploymentView] = None
@@ -199,15 +204,34 @@ class ColumnarNewsWire:
 
     # -- subscriptions -----------------------------------------------------
 
-    def _subject_id(self, subject: str) -> int:
-        sid = self._subject_ids.get(subject)
-        if sid is None:
-            sid = len(self._subject_ids)
-            self._subject_ids[subject] = sid
-        return sid
+    def _subject(self, subscription: Subscription) -> Tuple[int, int]:
+        """``(sid, mask)`` of a subscription's subject: sids in
+        first-seen order, each subject hashed once."""
+        if subscription.predicate_source is not None:
+            raise ConfigurationError(
+                "the columnar backend does not model subscription predicates; "
+                "use backend='object'"
+            )
+        entry = self._subjects.get(subscription.subject)
+        if entry is None:
+            if subscription.is_wildcard:
+                raise ConfigurationError(
+                    "the columnar backend does not model wildcard subjects; "
+                    "use backend='object'"
+                )
+            entry = self._subjects[subscription.subject] = (
+                len(self._subjects),
+                positions_mask(self.scheme.hints_for(subscription.subject, "")),
+            )
+        return entry
 
-    def _subject_mask(self, subject: str) -> int:
-        return positions_mask(self.scheme.hints_for(subject, ""))
+    def _join_class(self, index: int, sids: Tuple[int, ...], added: int) -> None:
+        """Point node ``index`` at its interest class's shared
+        ``(sids, mask)``; ``added`` is the mask of the sids it gains."""
+        shared = self._classes.get(sids)
+        if shared is None:
+            shared = self._classes[sids] = (sids, self.columns.interest[index] | added)
+        self.columns.subjects[index], self.columns.interest[index] = shared
 
     def install_subscriptions(
         self, index: int, subscriptions: Sequence[Subscription]
@@ -215,25 +239,22 @@ class ColumnarNewsWire:
         """Build-time interest installation (no trace, no dirtying —
         aggregates are rebuilt wholesale afterwards, mirroring the
         time-zero pre-seed)."""
-        columns = self.columns
-        ids = list(columns.subjects[index])
-        mask = columns.interest[index]
+        ids = list(self.columns.subjects[index])
+        added = 0
         for subscription in subscriptions:
-            sid = self._subject_id(subscription.subject)
+            sid, mask = self._subject(subscription)
             if sid not in ids:
                 ids.append(sid)
-            mask |= self._subject_mask(subscription.subject)
-        columns.subjects[index] = tuple(ids)
-        columns.interest[index] = mask
+                added |= mask
+        self._join_class(index, tuple(ids), added)
 
     def subscribe(self, index: int, subscription: Subscription) -> None:
         """Run-time subscription: takes the real propagation path —
         leaf dirty → one tree level per gossip round → root replicas."""
         columns = self.columns
-        sid = self._subject_id(subscription.subject)
+        sid, mask = self._subject(subscription)
         if sid not in columns.subjects[index]:
-            columns.subjects[index] = columns.subjects[index] + (sid,)
-        columns.interest[index] |= self._subject_mask(subscription.subject)
+            self._join_class(index, columns.subjects[index] + (sid,), mask)
         self.gossip.mark_dirty(columns.leaf_zone(index))
         self._trace.record(
             "subscribe",
@@ -302,7 +323,7 @@ class ColumnarNewsWire:
         columns = self.columns
         scheme = self.scheme
         hints = scheme.hints_for(subject, publisher_name)
-        sid = self._subject_ids.get(subject)
+        sid = self._subjects.get(subject, (None,))[0]
         now = self._sim.now
         publisher_node = columns.node_path(publisher_index)
         self._walk_serial += 1

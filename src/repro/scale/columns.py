@@ -50,9 +50,12 @@ class MembershipColumns:
         #: Last refresh timestamp (authoritative only in *unclean*
         #: zones; clean zones carry one shared ``zone_refresh`` stamp).
         self.heartbeat = array("d", bytes(8 * num_nodes))
-        #: Bloom interest mask per node (big ints live in a list).
+        #: Bloom interest mask per node.  A list, not an ``array``:
+        #: masks are ints wider than a machine word.  Nodes of one
+        #: interest class share one mask object.
         self.interest: List[int] = [0] * num_nodes
-        #: Interned subject ids per node — the exact leaf-level match.
+        #: Interned subject ids per node — the exact leaf-level match,
+        #: one shared tuple per interest class.
         self.subjects: List[Tuple[int, ...]] = [()] * num_nodes
         self.alive = bytearray(b"\x01" * num_nodes)
         #: Still part of its zone's membership (cleared by expiry).

@@ -2,13 +2,18 @@
 with the object backend's balanced deployment, digit for digit."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.astrolabe.deployment import balanced_layout, balanced_paths
+from repro.core.bloom import bit_positions, positions_mask
+from repro.core.config import NewsWireConfig
 from repro.core.errors import ConfigurationError
+from repro.pubsub import schemes
 from repro.pubsub.schemes import BloomScheme
 from repro.pubsub.subscription import Subscription
 from repro.scale.backend import build_columnar
 from repro.scale.columns import MembershipColumns
+from repro.workloads.populations import InterestModel
 
 
 class TestZoneArithmetic:
@@ -89,6 +94,25 @@ class TestInterestMasks:
         # Root count covers everyone at time zero.
         assert columns.agg_count[0][0] == 300
 
+    def test_build_hashes_each_subject_once_and_shares_class_masks(self, monkeypatch):
+        calls = []
+        real = schemes.bit_positions
+
+        def counting(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(schemes, "bit_positions", counting)
+        model = InterestModel([f"s/{k}" for k in range(6)], subscriptions_per_node=3)
+        system = build_columnar(2000, subscriptions_for=model.subscriptions_for)
+        columns = system.columns
+        assert len(calls) <= 6  # one per distinct subject, not per (node, subject)
+        assert len({id(mask) for mask in columns.interest}) <= 120  # P(6, 3) classes
+        first = {}
+        for subjects, mask in zip(columns.subjects, columns.interest):
+            shared_subjects, shared_mask = first.setdefault(subjects, (subjects, mask))
+            assert shared_subjects is subjects and shared_mask is mask
+
     def test_carrier_prefers_representative_then_first_alive(self):
         columns = MembershipColumns(16, branching=4, representatives=1)
         zone = 0
@@ -100,3 +124,105 @@ class TestInterestMasks:
         for index in members:
             columns.alive[index] = 0
         assert columns.carrier_for(columns.leaf_depth, zone) is None
+
+
+class TestUnsupportedSubscriptions:
+    """The columnar leaf match is an exact subject id: a predicate or a
+    wildcard would silently change who receives what, so both refuse."""
+
+    CASES = [
+        (Subscription("s", "urgency <= 4"), "subscription predicates"),
+        (Subscription("s/*"), "wildcard subjects"),
+    ]
+
+    @pytest.mark.parametrize("subscription, feature", CASES)
+    def test_build_refuses(self, subscription, feature):
+        with pytest.raises(ConfigurationError, match=f"{feature}.*backend='object'"):
+            build_columnar(4, subscriptions_for=lambda i: [subscription])
+
+    @pytest.mark.parametrize("subscription, feature", CASES)
+    def test_subscribe_refuses(self, subscription, feature):
+        system = build_columnar(4, subscriptions_for=lambda i: [Subscription("s")])
+        before = (system.columns.subjects[1], system.columns.interest[1])
+        with pytest.raises(ConfigurationError, match=f"{feature}.*backend='object'"):
+            system.subscribe(1, subscription)
+        assert (system.columns.subjects[1], system.columns.interest[1]) == before
+        assert system.trace.count("subscribe") == 0
+
+
+SUBJECTS = ("a", "b/c", "d", "e/f/g", "h")
+LATE_SUBJECTS = ("late/x", "late/y")
+
+
+def per_node_reference(num_nodes, config, rows):
+    """The per-node rule over ``rows`` of ``(index, subjects)``: sids
+    numbered on first sight, deduplicated in order per node, and every
+    subscription's own hash ORed into its node's mask."""
+    bloom = config.bloom
+    columns = MembershipColumns(
+        num_nodes, config.branching_factor, config.multicast.representatives
+    )
+    sids = {}
+    for index, subjects in rows:
+        ids = list(columns.subjects[index])
+        mask = columns.interest[index]
+        for subject in subjects:
+            sid = sids.setdefault(subject, len(sids))
+            if sid not in ids:
+                ids.append(sid)
+            mask |= positions_mask(bit_positions(subject, bloom.num_bits, bloom.num_hashes))
+        columns.subjects[index] = tuple(ids)
+        columns.interest[index] = mask
+    columns.build_aggregates()
+    return columns, sids
+
+
+class TestInterestClassesDifferential:
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_per_node_rule(self, data):
+        num_nodes = data.draw(st.integers(1, 40), label="num_nodes")
+        per_node = st.lists(st.sampled_from(SUBJECTS), max_size=4)  # duplicates allowed
+        populations = data.draw(
+            st.lists(per_node, min_size=num_nodes, max_size=num_nodes), label="populations"
+        )
+        as_list = data.draw(
+            st.lists(st.booleans(), min_size=num_nodes, max_size=num_nodes), label="as_list"
+        )
+        subscribes = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, num_nodes - 1),
+                    st.sampled_from(SUBJECTS + LATE_SUBJECTS),
+                ),
+                max_size=8,
+            ),
+            label="subscribes",
+        )
+        config = NewsWireConfig(branching_factor=4)
+
+        def subscriptions_for(index):
+            fresh = [Subscription(subject) for subject in populations[index]]
+            return fresh if as_list[index] else tuple(fresh)
+
+        system = build_columnar(
+            num_nodes, config, subscriptions_for=subscriptions_for, start=False
+        )
+        columns = system.columns
+        built, _ = per_node_reference(num_nodes, config, enumerate(populations))
+        assert columns.agg_subs == built.agg_subs
+        assert columns.agg_count == built.agg_count
+
+        for index, subject in subscribes:
+            system.subscribe(index, Subscription(subject))
+        columns.build_aggregates()
+        expected, sids = per_node_reference(
+            num_nodes,
+            config,
+            [*enumerate(populations), *((index, [subject]) for index, subject in subscribes)],
+        )
+        assert columns.subjects == expected.subjects
+        assert columns.interest == expected.interest
+        assert columns.agg_subs == expected.agg_subs
+        assert columns.agg_count == expected.agg_count
+        assert {subject: sid for subject, (sid, _) in system._subjects.items()} == sids
