@@ -156,7 +156,7 @@ def run_e2(
     for num_nodes in sizes:
         # Each size gets its own fresh *primary* sink: the row stats
         # must cover only this size's events.  Observers attached by
-        # ``observed_traces`` ride behind it and are never the stats
+        # ``instrumented`` ride behind it and are never the stats
         # source — a shared MemorySink there would bleed the previous
         # size's deliveries into this size's latency summary.
         use_streaming = sink == "streaming" or (

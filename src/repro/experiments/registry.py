@@ -50,10 +50,10 @@ class RunOptions:
 
     ``check_invariants`` gives every trace a cell builds its own
     :mod:`repro.testkit` invariant suite, ``report`` its own
-    :class:`~repro.obs.causal.CausalSink`, and ``sinks`` are further
-    observers shared by all of them (the ``--sink jsonl`` spool) — all
-    attached where the trace is built
-    (:func:`repro.sim.trace.observed_traces`), so no runner declares
+    :class:`~repro.obs.causal.CausalSink` (a suite's, when there is
+    one), and ``sinks`` are further observers shared by all of them (the
+    ``--sink jsonl`` spool) — all attached where the trace is built
+    (:func:`repro.sim.engine.instrumented`), so no runner declares
     them; ``profile`` attaches the flight recorder (kernel profiler and
     time-series sampler); ``workers`` is how many processes the cells
     fan out over, one meaning in-process.

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.core.identifiers import NodeId
-from repro.sim.network import Network
 from repro.sim.trace import TraceLog
 from repro.metrics.stats import Summary, ratio
 
@@ -115,10 +113,6 @@ def latency_summary(trace: TraceLog, kind: str = "deliver") -> Summary:
     return collect_delivery_stats(trace, kind).summary
 
 
-def deliveries_per_item(trace: TraceLog, kind: str = "deliver") -> Dict[str, int]:
-    return collect_delivery_stats(trace, kind).per_item
-
-
 def delivery_ratio(
     trace: TraceLog,
     expected: Dict[str, int],
@@ -143,46 +137,3 @@ def delivery_ratio(
         min(delivered.get(item, 0), want) for item, want in expected.items()
     )
     return ratio(total_delivered, total_expected)
-
-
-@dataclass(frozen=True)
-class NodeLoad:
-    """Traffic seen by one node over a measurement window."""
-
-    node: str
-    sent_messages: int
-    sent_bytes: int
-    received_messages: int
-    received_bytes: int
-
-    @property
-    def total_messages(self) -> int:
-        return self.sent_messages + self.received_messages
-
-    @property
-    def total_bytes(self) -> int:
-        return self.sent_bytes + self.received_bytes
-
-
-def node_load(network: Network, node_id: NodeId) -> NodeLoad:
-    stats = network.node_stats(node_id)
-    return NodeLoad(
-        node=str(node_id),
-        sent_messages=stats.sent_messages,
-        sent_bytes=stats.sent_bytes,
-        received_messages=stats.received_messages,
-        received_bytes=stats.received_bytes,
-    )
-
-
-def forwarding_efficiency(trace: TraceLog) -> Dict[str, int]:
-    """Counter snapshot of the selective-forwarding machinery."""
-    return {
-        "publish": trace.count("publish"),
-        "forward": trace.count("forward"),
-        "filtered": trace.count("filtered"),
-        "deliver": trace.count("deliver"),
-        "rejected": trace.count("rejected"),       # leaf false positives
-        "dup_dropped": trace.count("dup-dropped"),
-        "repair_delivered": trace.count("repair-delivered"),
-    }

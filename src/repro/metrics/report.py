@@ -1,4 +1,4 @@
-"""Plain-text tables and series — how experiments print their results.
+"""Plain-text tables — how experiments print their results.
 
 The paper has no numbered tables/figures (position paper), so every
 experiment prints its claim-derived table through these helpers; the
@@ -41,33 +41,3 @@ def format_table(
             "  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row))
         )
     return "\n".join(lines)
-
-
-def print_table(
-    headers: Sequence[str],
-    rows: Iterable[Sequence[Any]],
-    title: str = "",
-) -> None:
-    print(format_table(headers, rows, title))
-
-
-def format_series(
-    name: str,
-    points: Iterable[tuple[Any, Any]],
-    x_label: str = "x",
-    y_label: str = "y",
-) -> str:
-    """A printable figure: named (x, y) series."""
-    lines = [f"series: {name} ({x_label} -> {y_label})"]
-    for x, y in points:
-        lines.append(f"  {format_value(x)}\t{format_value(y)}")
-    return "\n".join(lines)
-
-
-def print_series(
-    name: str,
-    points: Iterable[tuple[Any, Any]],
-    x_label: str = "x",
-    y_label: str = "y",
-) -> None:
-    print(format_series(name, points, x_label, y_label))

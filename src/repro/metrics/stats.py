@@ -69,19 +69,6 @@ class Summary:
         )
 
 
-def cdf_points(values: Sequence[float], points: int = 20) -> list[tuple[float, float]]:
-    """(value, cumulative fraction) pairs — printable "figure" series."""
-    if not values:
-        return []
-    ordered = sorted(values)
-    out: list[tuple[float, float]] = []
-    for i in range(1, points + 1):
-        fraction = i / points
-        index = min(len(ordered) - 1, math.ceil(fraction * len(ordered)) - 1)
-        out.append((ordered[index], fraction))
-    return out
-
-
 def ratio(part: float, whole: float) -> float:
     """Safe division: 0 when the denominator is 0."""
     return part / whole if whole else 0.0

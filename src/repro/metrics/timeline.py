@@ -91,11 +91,6 @@ def event_timeline(
     )
 
 
-def rate_series(buckets: Sequence[TimeBucket]) -> list[tuple[float, float]]:
-    """(window midpoint, events/second) — ready for ``print_series``."""
-    return [((b.start + b.end) / 2.0, b.rate) for b in buckets]
-
-
 def sparkline(buckets: Sequence[TimeBucket], width: int = 60) -> str:
     """A terminal mini-figure of the bucket counts.
 

@@ -199,17 +199,6 @@ class CriticalPath:
     def round_wait(self) -> float:
         return sum(segment.round_wait for segment in self.segments)
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "item": self.item,
-            "leaf": self.leaf,
-            "hops": self.hops,
-            "total": self.total,
-            "queue_wait": self.queue_wait,
-            "net_wait": self.net_wait,
-            "round_wait": self.round_wait,
-        }
-
 
 class ItemTree:
     """The reconstructed dissemination DAG of one news item."""
@@ -657,24 +646,6 @@ class CausalSink:
         """Register the nodes that *should* deliver ``item``."""
         self._expected[str(item)] = {str(node) for node in nodes}
 
-    def derive_expected(self) -> Dict[str, Set[str]]:
-        """Expected sets from ``subscribe`` + ``publish`` events.
-
-        Subject-level matching only (exact or ``prefix/*``) — leaf
-        predicates show up as ``rejected-at-node`` attribution instead.
-        Used by offline replays where the interest model is gone.
-        """
-        derived: Dict[str, Set[str]] = {}
-        for item, tree in self.trees.items():
-            if tree.subject is None:
-                continue
-            derived[item] = {
-                node
-                for node, subjects in self._subscriptions.items()
-                if any(_subject_matches(p, tree.subject) for p in subjects)
-            }
-        return derived
-
     def registered_expected(self, item: str) -> Optional[Set[str]]:
         """The expectation registered via :meth:`expect` — no derived
         fallback.  Checkers that must not guess (the testkit's
@@ -683,7 +654,14 @@ class CausalSink:
         return self._expected.get(str(item))
 
     def expected_for(self, item: str) -> Optional[Set[str]]:
-        """Registered expectation for ``item``, else the derived one."""
+        """Registered expectation for ``item``, else the one derived from
+        ``subscribe`` + ``publish`` events.
+
+        Derivation is subject-level only (exact or ``prefix/*``) — leaf
+        predicates show up as ``rejected-at-node`` attribution instead —
+        which is what offline replays, whose interest model is gone, have.
+        """
+        item = str(item)
         explicit = self._expected.get(item)
         if explicit is not None:
             return explicit

@@ -1,7 +1,7 @@
 """Event-kernel profiler: where does dispatch wall-time go?
 
 A :class:`KernelProfiler` is a *dispatch monitor* (see
-:func:`repro.sim.engine.monitored_simulations`): the kernel times every
+:func:`repro.sim.engine.instrumented`): the kernel times every
 event callback with ``perf_counter`` and hands the profiler
 ``(callback, elapsed, sim_time, heap_len)``.  The profiler attributes
 that cost two ways:
@@ -12,9 +12,8 @@ that cost two ways:
   gossip rounds?";
 * **per handler** — qualified name, for the top-N hot-handler table.
 
-It also tracks heap depth high-water marks, dispatch events/sec over
-the observed wall-clock span, and (opt-in, ``track_memory=True``)
-tracemalloc heap high-water marks.
+It also tracks heap depth high-water marks and dispatch events/sec
+over the observed wall-clock span.
 
 Transparency is the contract: the profiler reads wall time and the
 arguments the kernel hands it — never the RNG, never the event queue —
@@ -27,14 +26,12 @@ table always sums to 100% of measured dispatch wall-time.
 from __future__ import annotations
 
 import functools
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
     "KernelProfiler",
     "format_profile_payload",
     "format_profile_report",
-    "profile_simulations",
 ]
 
 #: Handler-module prefix → category, most specific prefix first.
@@ -121,7 +118,7 @@ class KernelProfiler:
     :meth:`merge` in canonical cell order.
     """
 
-    def __init__(self, *, track_memory: bool = False):
+    def __init__(self):
         self.events = 0
         self.total_s = 0.0
         #: category → [event count, wall seconds]
@@ -132,8 +129,6 @@ class KernelProfiler:
         #: wall-clock span covering observed dispatches (perf_counter).
         self._span_start: Optional[float] = None
         self._span_end: Optional[float] = None
-        self.track_memory = track_memory
-        self.memory_peak_bytes = 0
         #: cache: unwrapped handler function → (category, qualname).
         #: Keyed on the underlying function object (held as the key, so
         #: its identity can't be recycled), because the bound-method
@@ -189,17 +184,6 @@ class KernelProfiler:
         if self._span_start is None:
             self._span_start = end - elapsed
         self._span_end = end
-        if self.track_memory:
-            self._sample_memory()
-
-    def _sample_memory(self) -> None:
-        import tracemalloc
-
-        if not tracemalloc.is_tracing():
-            return
-        _, peak = tracemalloc.get_traced_memory()
-        if peak > self.memory_peak_bytes:
-            self.memory_peak_bytes = peak
 
     # -- derived ---------------------------------------------------------
 
@@ -242,8 +226,6 @@ class KernelProfiler:
                     mine[2] = peak
         if other.heap_max > self.heap_max:
             self.heap_max = other.heap_max
-        if other.memory_peak_bytes > self.memory_peak_bytes:
-            self.memory_peak_bytes = other.memory_peak_bytes
         # Spans from different processes share no origin; fold the
         # durations instead so events/sec stays meaningful.
         if other._span_start is not None and other._span_end is not None:
@@ -273,9 +255,6 @@ class KernelProfiler:
             "dispatch_seconds": self.total_s,
             "events_per_sec": self.events_per_sec,
             "heap_max": self.heap_max,
-            "memory_peak_bytes": self.memory_peak_bytes
-            if self.track_memory
-            else None,
             "categories": categories,
             "hot_handlers": [
                 {
@@ -320,10 +299,6 @@ def format_profile_payload(payload: Dict[str, Any]) -> str:
         f"{payload['events_per_sec']:,.0f} events/s, "
         f"heap max {payload['heap_max']:,}"
     ]
-    if payload["memory_peak_bytes"]:
-        lines[0] += (
-            f", traced heap peak {payload['memory_peak_bytes'] / 1e6:,.1f} MB"
-        )
     cat_rows = [
         (
             name,
@@ -360,36 +335,3 @@ def format_profile_payload(payload: Dict[str, Any]) -> str:
         )
     )
     return "\n".join(lines)
-
-
-@contextmanager
-def profile_simulations(
-    *, track_memory: bool = False, profiler: Optional[KernelProfiler] = None
-) -> Iterator[KernelProfiler]:
-    """Profile every simulation built inside the block into one profiler.
-
-    With ``track_memory=True`` tracemalloc is started for the duration
-    of the block (unless already tracing) and the profiler records the
-    traced-heap high-water mark.
-    """
-    from repro.sim.engine import monitored_simulations
-
-    prof = profiler if profiler is not None else KernelProfiler(
-        track_memory=track_memory
-    )
-    started_tracing = False
-    if track_memory:
-        import tracemalloc
-
-        prof.track_memory = True
-        if not tracemalloc.is_tracing():
-            tracemalloc.start()
-            started_tracing = True
-    try:
-        with monitored_simulations(lambda sim: prof):
-            yield prof
-    finally:
-        if started_tracing:
-            import tracemalloc
-
-            tracemalloc.stop()

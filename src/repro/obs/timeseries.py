@@ -6,20 +6,13 @@ Counter / Gauge / Histogram in one registry into per-metric
 :class:`RingBufferSeries` — fixed-capacity ring buffers, so a week-long
 run retains the same memory as a minute-long one.
 
-Two drivers, one recorder:
-
-* **Sim-time driven** — the recorder doubles as a *dispatch monitor*
-  (see :func:`repro.sim.engine.monitored_simulations`): after every
-  simulated event it checks whether virtual time crossed the next
-  sampling boundary and snapshots the registry if so.  Crucially this
-  happens from *outside* the event stream — no events are scheduled,
-  no RNG is drawn, no sequence numbers shift — so a fixed-seed run
-  with sampling enabled stays byte-identical to a bare one (unlike the
-  opt-in :mod:`repro.obs.probes`, which schedule real events).
-* **Wall-clock driven** — :meth:`TimeSeriesRecorder.attach_clock`
-  rides any runtime's ``call_every`` (the live
-  :class:`~repro.runtime.asyncio_udp.AsyncioUdpRuntime` included), so
-  the same recorder samples deployments where time is real.
+The recorder is a *dispatch monitor* (see
+:func:`repro.sim.engine.instrumented`): after every simulated event it
+checks whether virtual time crossed the next sampling boundary and
+snapshots the registry if so.  Crucially this happens from *outside*
+the event stream — no events are scheduled, no RNG is drawn, no
+sequence numbers shift — so a fixed-seed run with sampling enabled
+stays byte-identical to a bare one.
 
 A :class:`TimeSeriesBundle` groups the recorders of one run (one per
 cell / per simulation), merges across parallel sweep workers in
@@ -31,9 +24,8 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Tuple, Union
 
 from repro.core.errors import ConfigurationError
 from repro.obs.metrics import Counter, Gauge, MetricsRegistry
@@ -42,10 +34,9 @@ __all__ = [
     "RingBufferSeries",
     "TimeSeriesBundle",
     "TimeSeriesRecorder",
-    "record_simulations",
 ]
 
-#: Default sampling cadence in (sim or wall) seconds.
+#: Default sampling cadence in simulated seconds.
 DEFAULT_INTERVAL = 1.0
 
 #: Default ring capacity per series — at the default cadence this holds
@@ -186,18 +177,6 @@ class TimeSeriesRecorder:
                 due = now + self.interval
             self._next_due = due
 
-    def attach_clock(self, clock, until: Optional[float] = None):
-        """Drive sampling off a runtime clock (live deployments).
-
-        ``clock`` is anything with ``now`` and ``call_every`` —
-        :class:`~repro.runtime.asyncio_udp.AsyncioUdpRuntime` in
-        practice.  Returns the periodic handle so callers can cancel
-        sampling before closing the runtime.
-        """
-        return clock.call_every(
-            self.interval, lambda: self.sample(clock.now), until=until
-        )
-
     # -- export ----------------------------------------------------------
 
     @property
@@ -279,41 +258,3 @@ class TimeSeriesBundle:
             f"TimeSeriesBundle({len(self.recorders)} recorders, "
             f"{self.total_samples} samples)"
         )
-
-
-@contextmanager
-def record_simulations(
-    registry: MetricsRegistry,
-    *,
-    interval: float = DEFAULT_INTERVAL,
-    capacity: int = DEFAULT_CAPACITY,
-    bundle: Optional[TimeSeriesBundle] = None,
-    label: str = "",
-) -> Iterator[TimeSeriesBundle]:
-    """Sample ``registry`` on every simulation built inside the block.
-
-    Each :class:`~repro.sim.engine.Simulation` constructed while the
-    context is active gets its own :class:`TimeSeriesRecorder`
-    (labelled ``<label>/sim<ordinal>`` in construction order) attached
-    as a dispatch monitor.  Sweeps that build one simulation per cell
-    therefore produce one recorder per cell — the unit the parallel
-    executor merges.
-    """
-    from repro.sim.engine import monitored_simulations
-
-    out = bundle if bundle is not None else TimeSeriesBundle()
-
-    def factory(sim) -> TimeSeriesRecorder:
-        ordinal = len(out.recorders)
-        prefix = f"{label}/" if label else ""
-        return out.add(
-            TimeSeriesRecorder(
-                registry,
-                interval=interval,
-                capacity=capacity,
-                label=f"{prefix}sim{ordinal}",
-            )
-        )
-
-    with monitored_simulations(factory):
-        yield out

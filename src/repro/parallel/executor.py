@@ -41,15 +41,14 @@ import os
 import random
 import time
 import traceback
-from contextlib import ExitStack
 from queue import Empty
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.registry import RunOptions, SweepCell
 from repro.obs.metrics import MetricsRegistry
+from repro.sim.engine import instrumented
 from repro.sim.rng import derive_seed, derive_substream
-from repro.sim.trace import observed_traces
 
 #: How long the parent waits between liveness checks while collecting
 #: results; a dead worker with outstanding cells fails the run instead
@@ -142,18 +141,6 @@ class SpecRun:
     cells: List[Dict[str, Any]] = field(default_factory=list)
 
 
-def _one_per_trace(make: Callable[[], Any], made: List[Any]) -> Callable:
-    """An :func:`observed_traces` factory: each trace gets its own
-    ``make()``, kept in ``made`` in construction order.  Per trace
-    because item keys repeat across the systems one cell builds."""
-
-    def factory(trace) -> Any:
-        made.append(make())
-        return made[-1]
-
-    return factory
-
-
 def _execute_cell(
     cell: SweepCell, options: RunOptions, experiment: str, seed: Optional[int]
 ) -> CellOutcome:
@@ -161,10 +148,13 @@ def _execute_cell(
 
     The one place a run gets its registry, invariant suites, causal
     sinks, spool, profiler and sampler — none through the runner's
-    signature: sinks and registry attach where a trace is built
-    (:func:`~repro.sim.trace.observed_traces`), profiler and sampler
-    where a simulation is
-    (:func:`~repro.sim.engine.monitored_simulations`).  All observe from
+    signature, all through one :func:`~repro.sim.engine.instrumented`
+    block: sinks and registry attach where a trace is built, profiler
+    and sampler where a simulation is.  Each trace gets its own suite
+    (with ``check_invariants``) or else its own causal sink (with only
+    ``report``) — per trace because item keys repeat across the systems
+    one cell builds; the report reads a suite's own causal sink rather
+    than rebuilding the same trees in a second one.  All observe from
     outside the event stream (sinks are transparent, the flight
     recorder's dispatch monitors read only wall time), so attaching them
     cannot change any cell's result — pinned by the transparency and
@@ -179,43 +169,51 @@ def _execute_cell(
     random.seed(stream)
     outcome = CellOutcome(index=cell.index, label=cell.label)
     outcome.metrics = MetricsRegistry()
-    suites: List[Any] = []
-    causals: List[Any] = []
-    observers = [lambda trace, sink=sink: sink for sink in options.sinks]
-    if options.check_invariants:
+    traces = [lambda trace, sink=sink: sink for sink in options.sinks]
+    made: List[Any] = []  # each trace's suite, else its causal sink
+    if options.check_invariants or options.report:
+        from repro.obs.causal import CausalSink, format_causal_report
         from repro.testkit.invariants import InvariantSuite, default_checkers
 
-        observers.append(_one_per_trace(InvariantSuite, suites))
-    if options.report:
-        from repro.obs.causal import CausalSink, format_causal_report
+        make = InvariantSuite if options.check_invariants else CausalSink
 
-        observers.append(_one_per_trace(CausalSink, causals))
+        def per_trace(trace) -> Any:
+            made.append(make())
+            return made[-1]
+
+        traces.append(per_trace)
+    sims: List[Any] = []
+    if options.profile:
+        from repro.obs.profile import KernelProfiler
+        from repro.obs.timeseries import TimeSeriesBundle, TimeSeriesRecorder
+
+        profiler = outcome.profile = KernelProfiler()
+        bundle = outcome.timeseries = TimeSeriesBundle()
+
+        def recorder(sim) -> TimeSeriesRecorder:
+            label = f"{cell.label}/sim{len(bundle)}"
+            return bundle.add(TimeSeriesRecorder(outcome.metrics, label=label))
+
+        sims = [lambda sim: profiler, recorder]
     started = time.perf_counter()
-    with ExitStack() as stack:
-        stack.enter_context(observed_traces(*observers, metrics=outcome.metrics))
-        if options.profile:
-            from repro.obs.profile import KernelProfiler, profile_simulations
-            from repro.obs.timeseries import record_simulations
-
-            outcome.profile = KernelProfiler()
-            stack.enter_context(profile_simulations(profiler=outcome.profile))
-            outcome.timeseries = stack.enter_context(
-                record_simulations(outcome.metrics, label=cell.label)
-            )
+    with instrumented(sim=sims, trace=traces, metrics=outcome.metrics):
         outcome.result = cell.runner(**cell.kwargs)
+    causals = made
     if options.check_invariants:
         # The catalogue, not "some suite was attached": a cell whose
         # traces record nothing was still checked, vacuously.  No live
         # system here (runners tear theirs down): system-needing
         # checkers skip; stream-level invariants still verdict.
         outcome.checked = [checker.name for checker in default_checkers()]
-        outcome.violations = [v for suite in suites for v in suite.finalize(None)]
-    # A baseline's trace never sees a publish: nothing to explain.
-    outcome.causal = {
-        f"{cell.label}/sim{ordinal}": (sink.summary(), format_causal_report(sink))
-        for ordinal, sink in enumerate(causals)
-        if sink.trees
-    }
+        outcome.violations = [v for suite in made for v in suite.finalize(None)]
+        causals = [suite.causal for suite in made]
+    if options.report:
+        # A baseline's trace never sees a publish: nothing to explain.
+        outcome.causal = {
+            f"{cell.label}/sim{ordinal}": (sink.summary(), format_causal_report(sink))
+            for ordinal, sink in enumerate(causals)
+            if sink.trees
+        }
     outcome.manifest = {
         "experiment": experiment,
         "cell": cell.index,

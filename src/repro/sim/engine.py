@@ -57,45 +57,56 @@ _INF = math.inf
 #: already under 1 % of the rows' own.
 _LANE_RUN_CAP = 256
 
-#: Factories applied to every newly constructed :class:`Simulation`
-#: (see :func:`monitored_simulations`).  Each is called with the new
-#: simulation and may return a monitor to attach, or None.
-_MONITOR_FACTORIES: tuple = ()
+#: The ``sim`` factories, ``trace`` factories and registry of the
+#: innermost :func:`instrumented` block, read where a
+#: :class:`Simulation` or a :class:`~repro.sim.trace.TraceLog` is built.
+_INSTRUMENTS: tuple = ((), (), None)
 
 
 @contextmanager
-def monitored_simulations(*factories) -> Iterator[None]:
-    """Attach monitors to every :class:`Simulation` built in this block.
+def instrumented(
+    *, sim: Iterable[Callable] = (), trace: Iterable[Callable] = (), metrics=None
+) -> Iterator[None]:
+    """Attach observers to every simulation and trace built in this block.
 
-    Each factory is called as ``factory(sim)`` at construction time and
-    may return a *dispatch monitor* — an object with
-    ``observe(callback, args, elapsed_s, sim_time, heap_len)`` — or
-    None.  This is how the experiments CLI instruments runs without
-    threading a parameter through every ``run_eN`` signature: the
-    profiler and the time-series sampler both ride this hook
-    (``repro.obs.profile``, ``repro.obs.timeseries``).
+    Each ``sim`` factory is called as ``factory(simulation)`` when a
+    :class:`Simulation` is constructed and may return a *dispatch
+    monitor* — an object with ``observe(callback, args, elapsed_s,
+    sim_time, heap_len)`` — or None.  Each ``trace`` factory is called
+    as ``factory(trace)`` when a :class:`~repro.sim.trace.TraceLog` is
+    constructed and may return a sink, appended *behind* the trace's own
+    sinks so collectors keep their primary, or None.  Factories, not
+    instances, because one block may see several systems whose item keys
+    repeat (a sweep, an experiment's baselines); a factory that wants
+    one shared observer just returns it every time.  ``metrics`` becomes
+    the registry of every trace built without an explicit one.  Blocks
+    nest (an inner block adds its factories behind the outer ones), and
+    the previous state is restored even when the body raises.
 
-    Monitors observe dispatch from *outside* the event stream: they are
-    handed wall-clock cost, clock readings and a read-only view of the
-    dispatched callback, but never schedule events, never draw
-    randomness, and never mutate what they see — so an instrumented
+    This is how the cell executor instruments a run whose runner builds
+    its own systems, without threading a parameter through every
+    ``run_eN`` signature; a caller that builds the system itself passes
+    ``sinks=`` / ``metrics=`` to the builder instead.  Observers watch
+    from *outside* the event stream: monitors are handed wall-clock
+    cost, clock readings and a read-only view of the dispatched
+    callback, sinks a copy of each record, and neither schedules events,
+    draws randomness or mutates what it sees — so an instrumented
     fixed-seed run stays byte-identical to a bare one
-    (``tests/integration/test_instrumentation_transparency.py``).
+    (``tests/integration/test_instrumentation_transparency.py``,
+    ``tests/obs/test_sink_transparency.py``).
     """
-    global _MONITOR_FACTORIES
-    added = tuple(factories)
-    _MONITOR_FACTORIES = _MONITOR_FACTORIES + added
+    global _INSTRUMENTS
+    previous = _INSTRUMENTS
+    sims, traces, registry = previous
+    _INSTRUMENTS = (
+        sims + tuple(sim),
+        traces + tuple(trace),
+        registry if metrics is None else metrics,
+    )
     try:
         yield
     finally:
-        remaining = list(_MONITOR_FACTORIES)
-        for factory in added:
-            # Remove one occurrence each; nested blocks stay balanced.
-            for index in range(len(remaining) - 1, -1, -1):
-                if remaining[index] is factory:
-                    del remaining[index]
-                    break
-        _MONITOR_FACTORIES = tuple(remaining)
+        _INSTRUMENTS = previous
 
 
 class EventHandle:
@@ -160,9 +171,9 @@ class Simulation:
         self.rngs = RngRegistry(seed)
         self.seed = seed
         #: Dispatch monitors (profiler, time-series sampler) — pure
-        #: observers of the event loop; see :func:`monitored_simulations`.
+        #: observers of the event loop; see :func:`instrumented`.
         self._monitors: tuple = ()
-        for factory in _MONITOR_FACTORIES:
+        for factory in _INSTRUMENTS[0]:
             monitor = factory(self)
             if monitor is not None:
                 self._monitors = self._monitors + (monitor,)
@@ -182,10 +193,6 @@ class Simulation:
         — attaching one keeps fixed-seed runs byte-identical.
         """
         self._monitors = self._monitors + (monitor,)
-
-    def remove_monitor(self, monitor) -> None:
-        """Detach ``monitor`` (takes effect on the next run call)."""
-        self._monitors = tuple(m for m in self._monitors if m is not monitor)
 
     @property
     def monitors(self) -> tuple:

@@ -23,56 +23,16 @@ queue, so attaching them cannot perturb a fixed-seed run.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from functools import partial
 from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Sequence
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sinks import MemorySink, StreamingSink, TraceBatch, TraceEvent, TraceSink
+from repro.sim import engine
 
-__all__ = ["TraceEvent", "TraceLog", "observed_traces"]
+__all__ = ["TraceEvent", "TraceLog"]
 
 _EMPTY: tuple = ()
-
-#: Observer factories applied to, and the registry shared by, every
-#: :class:`TraceLog` built right now (see :func:`observed_traces`).
-_OBSERVER_FACTORIES: tuple = ()
-_OBSERVED_METRICS: Optional[MetricsRegistry] = None
-
-
-@contextmanager
-def observed_traces(
-    *factories: Callable[["TraceLog"], Optional[TraceSink]],
-    metrics: Optional[MetricsRegistry] = None,
-) -> Iterator[None]:
-    """Attach observer sinks to every :class:`TraceLog` built in this block.
-
-    The trace-side twin of :func:`repro.sim.engine.monitored_simulations`:
-    each factory is called as ``factory(trace)`` at construction time and
-    the sink it returns (None attaches nothing) is appended *behind* the
-    trace's own sinks, so collectors keep their primary.  Factories, not
-    instances, because one block may see several systems whose item keys
-    repeat (a sweep, an experiment's baselines); a factory that wants one
-    shared sink just returns it every time.  ``metrics`` becomes the
-    registry of every trace built without an explicit one.  Blocks nest,
-    and the previous state is restored even when the body raises.
-
-    This is how the cell executor instruments a run whose runner builds
-    its own systems; a caller that builds the system itself passes
-    ``sinks=`` / ``metrics=`` to the builder instead.  Sinks are
-    observers only (``tests/obs/test_sink_transparency.py``), so an
-    observed fixed-seed run stays byte-identical to a bare one.
-    """
-    global _OBSERVER_FACTORIES, _OBSERVED_METRICS
-    previous = _OBSERVER_FACTORIES, _OBSERVED_METRICS
-    _OBSERVER_FACTORIES += factories
-    if metrics is not None:
-        _OBSERVED_METRICS = metrics
-    try:
-        yield
-    finally:
-        _OBSERVER_FACTORIES, _OBSERVED_METRICS = previous
-
 
 def _emit_each(emit: Callable, kind: str, events: TraceBatch) -> None:
     """``emit_many`` for a sink that only defines ``emit``."""
@@ -93,18 +53,20 @@ class TraceLog:
         """``kinds`` restricts recording to the given event kinds
         (``None`` records everything); ``sinks`` defaults to a single
         :class:`MemorySink` (the historical behaviour).  Inside an
-        :func:`observed_traces` block the block's observers follow
-        ``sinks`` and its registry stands in for an unset ``metrics``."""
+        :func:`~repro.sim.engine.instrumented` block the block's trace
+        observers follow ``sinks`` and its registry stands in for an
+        unset ``metrics``."""
+        _, factories, observed_metrics = engine._INSTRUMENTS
         self.sim = sim
         self.kinds = kinds
         if metrics is None:
-            metrics = _OBSERVED_METRICS
+            metrics = observed_metrics
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._counts: Dict[str, int] = {}
         self._sinks: list[TraceSink] = (
             [MemorySink()] if sinks is None else list(sinks)
         )
-        for factory in _OBSERVER_FACTORIES:
+        for factory in factories:
             observer = factory(self)
             if observer is not None:
                 self._sinks.append(observer)

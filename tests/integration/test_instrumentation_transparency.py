@@ -8,30 +8,31 @@ monitors attached and assert byte-identical results — the contract the
 experiments CLI ``--profile`` flag relies on.
 """
 
-from contextlib import ExitStack
-
 from repro.experiments.e2_latency import run_e2
 from repro.experiments.e5_bloom import run_e5_system
 from repro.experiments.e9_queues import run_e9
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import profile_simulations
-from repro.obs.timeseries import record_simulations
+from repro.obs.profile import KernelProfiler
+from repro.obs.timeseries import TimeSeriesBundle, TimeSeriesRecorder
+from repro.sim.engine import instrumented
 from tests.integration.test_golden_fingerprints import fingerprint
 
 
-def instrumented():
-    """Both flight-recorder monitors, aggressively sampled."""
-    stack = ExitStack()
-    stack.enter_context(profile_simulations())
-    stack.enter_context(
-        record_simulations(MetricsRegistry(), interval=0.25, capacity=64)
-    )
-    return stack
+def flight_recorder(profiler=None, bundle=None):
+    """Both flight-recorder monitors on every simulation, aggressively
+    sampled."""
+    profiler = KernelProfiler() if profiler is None else profiler
+    bundle = TimeSeriesBundle() if bundle is None else bundle
+    registry = MetricsRegistry()
+    return instrumented(sim=[
+        lambda sim: profiler,
+        lambda sim: bundle.add(TimeSeriesRecorder(registry, interval=0.25, capacity=64)),
+    ])
 
 
 class TestGoldensWithMonitorsAttached:
     def test_e2_small_fingerprint_unchanged(self):
-        with instrumented():
+        with flight_recorder():
             result = run_e2(
                 sizes=(48,),
                 items=3,
@@ -50,7 +51,7 @@ class TestGoldensWithMonitorsAttached:
         )
 
     def test_e5_system_fingerprint_unchanged(self):
-        with instrumented():
+        with flight_recorder():
             rows = run_e5_system(
                 num_nodes=48, bit_sizes=(256,), num_subjects=12, seed=3
             )
@@ -64,7 +65,7 @@ class TestGoldensWithMonitorsAttached:
         ]
 
     def test_e9_fingerprint_unchanged(self):
-        with instrumented():
+        with flight_recorder():
             result = run_e9(
                 num_nodes=48,
                 items=10,
@@ -90,9 +91,8 @@ class TestGoldensWithMonitorsAttached:
     def test_monitors_actually_observed_dispatch(self):
         """Guard against a silently-detached hook making the tests above
         vacuous: the same instrumented run must record real samples."""
-        with profile_simulations() as profiler, record_simulations(
-            MetricsRegistry(), interval=0.25
-        ) as bundle:
+        profiler, bundle = KernelProfiler(), TimeSeriesBundle()
+        with flight_recorder(profiler, bundle):
             run_e2(
                 sizes=(48,),
                 items=3,

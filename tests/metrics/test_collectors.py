@@ -2,20 +2,15 @@
 
 import pytest
 
-from repro.core.identifiers import ZonePath
 from repro.obs.sinks import StreamingSink
 from repro.sim.engine import Simulation
-from repro.sim.network import Network
 from repro.sim.trace import TraceLog
 from repro.metrics.collectors import (
     collect_delivery_stats,
-    deliveries_per_item,
     delivery_latencies,
     delivery_ratio,
-    forwarding_efficiency,
-    node_load,
 )
-from repro.metrics.report import format_series, format_table, format_value
+from repro.metrics.report import format_table, format_value
 
 
 def trace_with_deliveries(**kwargs):
@@ -31,9 +26,6 @@ class TestCollectors:
     def test_delivery_latencies(self):
         assert delivery_latencies(trace_with_deliveries()) == [0.5, 1.5, 2.0]
 
-    def test_deliveries_per_item(self):
-        assert deliveries_per_item(trace_with_deliveries()) == {"i1": 2, "i2": 1}
-
     def test_delivery_ratio_full(self):
         trace = trace_with_deliveries()
         assert delivery_ratio(trace, {"i1": 2, "i2": 1}) == 1.0
@@ -48,24 +40,6 @@ class TestCollectors:
 
     def test_delivery_ratio_empty_expectation(self):
         assert delivery_ratio(trace_with_deliveries(), {}) == 0.0
-
-    def test_node_load(self):
-        sim = Simulation()
-        network = Network(sim)
-        node_id = ZonePath.parse("/a/b")
-        stats = network.node_stats(node_id)
-        stats.sent_messages = 3
-        stats.sent_bytes = 100
-        stats.received_messages = 2
-        stats.received_bytes = 50
-        load = node_load(network, node_id)
-        assert load.total_messages == 5
-        assert load.total_bytes == 150
-
-    def test_forwarding_efficiency_keys(self):
-        snapshot = forwarding_efficiency(trace_with_deliveries())
-        assert snapshot["deliver"] == 3
-        assert set(snapshot) >= {"publish", "forward", "filtered", "rejected"}
 
 
 class TestCollectorSources:
@@ -117,8 +91,3 @@ class TestReport:
         assert lines[0] == "T"
         assert "name" in lines[1]
         assert len(lines) == 5
-
-    def test_format_series(self):
-        series = format_series("s", [(1, 2.0)], x_label="n", y_label="t")
-        assert "series: s" in series
-        assert "1\t2" in series

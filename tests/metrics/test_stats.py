@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import ConfigurationError
-from repro.metrics.stats import Summary, cdf_points, percentile, ratio
+from repro.metrics.stats import Summary, percentile, ratio
 
 FLOATS = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
@@ -69,20 +69,6 @@ class TestSummary:
 
 
 class TestCdfAndRatio:
-    def test_cdf_points_monotone(self):
-        points = cdf_points([5, 1, 3, 2, 4], points=5)
-        xs = [x for x, _ in points]
-        ys = [y for _, y in points]
-        assert xs == sorted(xs)
-        assert ys == [0.2, 0.4, 0.6, 0.8, 1.0]
-
-    def test_cdf_empty(self):
-        assert cdf_points([]) == []
-
-    def test_cdf_last_point_is_max(self):
-        points = cdf_points([1, 9, 5], points=3)
-        assert points[-1] == (9, 1.0)
-
     def test_ratio(self):
         assert ratio(1, 2) == 0.5
         assert ratio(1, 0) == 0.0

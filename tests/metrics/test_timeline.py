@@ -5,12 +5,7 @@ import pytest
 from repro.core.errors import ConfigurationError
 from repro.sim.engine import Simulation
 from repro.sim.trace import TraceLog
-from repro.metrics.timeline import (
-    bucketize,
-    event_timeline,
-    rate_series,
-    sparkline,
-)
+from repro.metrics.timeline import bucketize, event_timeline, sparkline
 
 
 class TestBucketize:
@@ -75,13 +70,6 @@ class TestEventTimeline:
             value=lambda e: e["latency"],
         )
         assert buckets[0].total == pytest.approx(0.36)
-
-    def test_rate_series_points(self):
-        buckets = event_timeline(self._trace(), "deliver", window=1.0,
-                                 start=0.0, end=2.0)
-        points = rate_series(buckets)
-        assert points[0] == (0.5, 1.0)
-        assert points[1] == (1.5, 2.0)
 
 
 class TestSparkline:

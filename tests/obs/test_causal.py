@@ -11,11 +11,12 @@ import json
 import pytest
 
 from repro.core.config import GossipConfig, MulticastConfig, NewsWireConfig
+from repro.core.identifiers import ItemId
 from repro.news.deployment import build_newswire
 from repro.obs.causal import CausalSink, format_causal_report
 from repro.obs.sinks import JsonlFileSink
 from repro.pubsub.subscription import Subscription
-from repro.sim.trace import observed_traces
+from repro.sim.engine import instrumented
 
 
 def feed(sink, events):
@@ -196,7 +197,7 @@ class TestLossAttribution:
         assert tree.classify_miss("/a/n8") == "dropped-on-crash"
         assert tree.classify_miss("/a/n9") == "rejected-at-node"
 
-    def test_derive_expected_from_subscribe_events(self):
+    def test_expected_for_derives_from_subscribe_events(self):
         sink = CausalSink()
         feed(sink, [
             (0.0, "subscribe", {"node": "/a/n1", "subject": "news/world"}),
@@ -204,19 +205,29 @@ class TestLossAttribution:
             (0.0, "subscribe", {"node": "/a/n3", "subject": "sports"}),
             (1.0, "publish",
              {"node": "/a/p", "item": "i", "subject": "news/world"}),
+            (2.0, "deliver", {"node": "/a/n1", "item": "j"}),
         ])
-        assert sink.derive_expected() == {"i": {"/a/n1", "/a/n2"}}
         assert sink.expected_for("i") == {"/a/n1", "/a/n2"}
+        # No publish seen for j: no subject to match, nothing derived.
+        assert sink.expected_for("j") is None
         # An explicit expectation overrides the derived one.
         sink.expect("i", {"/a/n1"})
         assert sink.expected_for("i") == {"/a/n1"}
+
+    def test_expected_for_reads_an_expectation_under_a_non_string_item(self):
+        sink = CausalSink()
+        item = ItemId("/a/p", 7)
+        sink.expect(item, ["/a/n1", "/a/n2"])
+        assert sink.registered_expected(item) == {"/a/n1", "/a/n2"}
+        assert sink.expected_for(item) == {"/a/n1", "/a/n2"}
+        assert sink.expected_for(str(item)) == {"/a/n1", "/a/n2"}
 
     def test_attribution_is_total_on_real_partition_losses(self):
         """E11-style run: every genuine miss lands in exactly one class."""
         from repro.experiments.e11_partition import run_e11
 
         causal = CausalSink()
-        with observed_traces(lambda trace: causal):
+        with instrumented(trace=[lambda trace: causal]):
             run_e11(
                 num_nodes=32,
                 durations=(24.0,),

@@ -3,16 +3,11 @@
 import functools
 import pickle
 
-from repro.obs.profile import (
-    KernelProfiler,
-    categorize,
-    format_profile_report,
-    profile_simulations,
-)
+from repro.obs.profile import KernelProfiler, categorize, format_profile_report
 from repro.experiments.e2_latency import run_e2
 from repro.scale.backend import ColumnarNewsWire
 from repro.scale.batched import BatchedGossip
-from repro.sim.engine import Simulation
+from repro.sim.engine import Simulation, instrumented
 
 
 def _make_handler(module: str):
@@ -134,9 +129,13 @@ class TestKernelProfiler:
 
 
 class TestProfileSimulations:
+    """One profiler attached to every simulation of an
+    :func:`instrumented` block, as the executor's ``--profile`` does."""
+
     def test_profiles_every_sim_in_scope(self):
         fired = []
-        with profile_simulations() as profiler:
+        profiler = KernelProfiler()
+        with instrumented(sim=[lambda sim: profiler]):
             sim = Simulation(seed=1)
             sim.call_every(0.5, lambda: fired.append(sim.now))
             sim.run_until(5.0)
@@ -145,7 +144,8 @@ class TestProfileSimulations:
         assert sum(profiler.category_seconds().values()) == profiler.total_s
 
     def test_columnar_handlers_are_billed_to_scale(self):
-        with profile_simulations() as profiler:
+        profiler = KernelProfiler()
+        with instrumented(sim=[lambda sim: profiler]):
             run_e2(sizes=(100,), items=2, backend="columnar")
         assert profiler.by_category["scale"][1] > 0
         assert "scale" in profiler.summary()["categories"]
@@ -157,16 +157,10 @@ class TestProfileSimulations:
             assert billed[handler] == "scale"
 
     def test_detaches_outside_the_block(self):
-        with profile_simulations() as profiler:
+        profiler = KernelProfiler()
+        with instrumented(sim=[lambda sim: profiler]):
             pass
         sim = Simulation(seed=1)
         sim.call_after(0.1, lambda: None)
         sim.run_until(1.0)
         assert profiler.events == 0
-
-    def test_track_memory_records_high_water_mark(self):
-        with profile_simulations(track_memory=True) as profiler:
-            sim = Simulation(seed=1)
-            sim.call_after(0.1, lambda: list(range(50_000)))
-            sim.run_until(1.0)
-        assert profiler.memory_peak_bytes > 0

@@ -16,7 +16,8 @@ from repro.experiments.registry import ExperimentConfig, RunOptions, get_spec
 from repro.obs.causal import CausalSink
 from repro.obs.sinks import JsonlFileSink, StreamingSink
 from repro.parallel import run_spec
-from repro.sim.trace import observed_traces
+from repro.sim.engine import instrumented
+from repro.testkit.invariants import InvariantSuite
 
 E2_KWARGS = dict(
     sizes=(48,),
@@ -48,7 +49,7 @@ class TestSinkTransparency:
     def test_extra_sinks_do_not_perturb_run(self, tmp_path):
         baseline = run_e2(**E2_KWARGS)
         with JsonlFileSink(tmp_path / "run.jsonl") as jsonl:
-            with observed_traces(lambda trace: StreamingSink(), lambda trace: jsonl):
+            with instrumented(trace=[lambda trace: StreamingSink(), lambda trace: jsonl]):
                 observed = run_e2(**E2_KWARGS)
         assert fingerprint(observed) == fingerprint(baseline)
         # The file sink actually saw the traffic it was asked to record.
@@ -62,7 +63,7 @@ class TestSinkTransparency:
         """
         baseline = run_e2(**E2_KWARGS)
         sink = StreamingSink()
-        with observed_traces(lambda trace: sink):
+        with instrumented(trace=[lambda trace: sink]):
             observed = run_e2(**E2_KWARGS)
 
         base_row, obs_row = baseline.rows[0], observed.rows[0]
@@ -82,7 +83,7 @@ class TestSinkTransparency:
         """CausalSink rebuilds dissemination trees without touching the run."""
         baseline = run_e2(**E2_KWARGS)
         causal = CausalSink()
-        with observed_traces(lambda trace: causal):
+        with instrumented(trace=[lambda trace: causal]):
             observed = run_e2(**E2_KWARGS)
         assert fingerprint(observed) == fingerprint(baseline)
         # The sink actually reconstructed the dissemination it watched.
@@ -95,7 +96,7 @@ class TestSinkTransparency:
     def test_causal_alongside_streaming_does_not_perturb_run(self):
         baseline = run_e2(**E2_KWARGS)
         causal = CausalSink()
-        with observed_traces(lambda trace: StreamingSink(), lambda trace: causal):
+        with instrumented(trace=[lambda trace: StreamingSink(), lambda trace: causal]):
             observed = run_e2(**E2_KWARGS)
         assert fingerprint(observed) == fingerprint(baseline)
         assert causal.events_seen > 0
@@ -110,5 +111,27 @@ class TestSinkTransparency:
             RunOptions(report=True),
         )
         assert fingerprint(observed.result) == fingerprint(baseline)
+        ((summary, _text),) = observed.causal.values()
+        assert summary["deliveries"] == baseline.rows[0].delivered
+
+    def test_invariants_and_report_share_one_causal_sink_per_trace(self):
+        """With both on, the report reads each suite's own CausalSink
+        rather than attaching a second one that rebuilds the same trees."""
+        baseline = run_e2(**E2_KWARGS)
+        traces = []
+        # ``append`` returns None: the outer factory records, attaches nothing.
+        with instrumented(trace=[traces.append]):
+            observed = run_spec(
+                get_spec("e2"),
+                ExperimentConfig(overrides=E2_KWARGS),
+                RunOptions(check_invariants=True, report=True),
+            )
+        assert traces
+        for trace in traces:
+            causals = [s for s in trace.sinks if isinstance(s, CausalSink)]
+            causals += [s.causal for s in trace.sinks if isinstance(s, InvariantSuite)]
+            assert len(causals) == 1
+        assert fingerprint(observed.result) == fingerprint(baseline)
+        assert observed.violations == []
         ((summary, _text),) = observed.causal.values()
         assert summary["deliveries"] == baseline.rows[0].delivered

@@ -6,13 +6,8 @@ import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeseries import (
-    RingBufferSeries,
-    TimeSeriesBundle,
-    TimeSeriesRecorder,
-    record_simulations,
-)
-from repro.sim.engine import Simulation
+from repro.obs.timeseries import RingBufferSeries, TimeSeriesBundle, TimeSeriesRecorder
+from repro.sim.engine import Simulation, instrumented
 
 
 class TestRingBufferSeries:
@@ -122,10 +117,19 @@ class TestTimeSeriesBundle:
 
 
 class TestRecordSimulations:
+    """A recorder per simulation of an :func:`instrumented` block,
+    collected in one bundle, as the executor's ``--profile`` does."""
+
     def test_each_simulation_gets_a_recorder(self):
         registry = MetricsRegistry()
         counter = registry.counter("ticks")
-        with record_simulations(registry, interval=1.0, label="run") as bundle:
+        bundle = TimeSeriesBundle()
+
+        def recorder(sim):
+            label = f"run/sim{len(bundle)}"
+            return bundle.add(TimeSeriesRecorder(registry, interval=1.0, label=label))
+
+        with instrumented(sim=[recorder]):
             for seed in (1, 2):
                 sim = Simulation(seed=seed)
                 sim.call_every(0.4, counter.inc)
@@ -135,7 +139,8 @@ class TestRecordSimulations:
 
     def test_detaches_outside_the_block(self):
         registry = MetricsRegistry()
-        with record_simulations(registry) as bundle:
+        bundle = TimeSeriesBundle()
+        with instrumented(sim=[lambda sim: bundle.add(TimeSeriesRecorder(registry))]):
             pass
         sim = Simulation(seed=3)
         sim.call_after(0.1, lambda: None)

@@ -25,7 +25,7 @@ from repro.obs.sinks import MemorySink, StreamingSink
 from repro.pubsub.subscription import Subscription
 from repro.scale.backend import build_columnar, canonical_digest, canonical_trace
 from repro.sim.rng import derive_substream, substream_table
-from repro.sim.trace import observed_traces
+from repro.sim.engine import instrumented
 from repro.testkit.invariants import InvariantSuite
 from repro.workloads.populations import InterestModel
 
@@ -86,7 +86,7 @@ class TestE2Equivalence:
         fingerprints = {}
         for backend in ("object", "columnar"):
             sink = MemorySink()
-            with observed_traces(lambda trace: sink):
+            with instrumented(trace=[lambda trace: sink]):
                 result = run_e2(backend=backend, **kwargs)
             digests[backend] = canonical(sink)
             row = result.rows[0]
@@ -98,7 +98,7 @@ class TestE2Equivalence:
         verdicts = {}
         for backend in ("object", "columnar"):
             suite = InvariantSuite()
-            with observed_traces(lambda trace: suite):
+            with instrumented(trace=[lambda trace: suite]):
                 run_e2(backend=backend, **E2_SMALL_KWARGS)
             verdicts[backend] = [str(v) for v in suite.finalize(None)]
         assert verdicts["object"] == verdicts["columnar"] == []
@@ -107,10 +107,10 @@ class TestE2Equivalence:
         """PR 9's transparency pin, extended: the full invariant suite
         riding along cannot perturb a columnar fixed-seed run."""
         bare = MemorySink()
-        with observed_traces(lambda trace: bare):
+        with instrumented(trace=[lambda trace: bare]):
             run_e2(backend="columnar", **E2_SMALL_KWARGS)
         observed = MemorySink()
-        with observed_traces(lambda trace: observed, lambda trace: InvariantSuite()):
+        with instrumented(trace=[lambda trace: observed, lambda trace: InvariantSuite()]):
             run_e2(backend="columnar", **E2_SMALL_KWARGS)
         assert canonical(bare) == canonical(observed) == E2_SMALL_DIGEST
 
@@ -121,7 +121,7 @@ class TestE2Equivalence:
             sink="memory", backend="columnar", **E2_SMALL_KWARGS
         ).rows
         stream = StreamingSink()
-        with observed_traces(lambda trace: stream):
+        with instrumented(trace=[lambda trace: stream]):
             streaming_rows = run_e2(
                 sink="streaming", backend="columnar", **E2_SMALL_KWARGS
             ).rows

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import SimulationError
-from repro.sim.engine import Simulation
+from repro.sim.engine import Simulation, instrumented
+from repro.sim.trace import TraceLog
 
 
 class TestScheduling:
@@ -208,3 +209,57 @@ class TestDeterminism:
         sim.run()
         assert fired == sorted(fired)
         assert len(fired) == len(delays)
+
+
+class Recorder:
+    """A dispatch monitor that keeps the virtual times it was shown."""
+
+    def __init__(self):
+        self.times = []
+
+    def observe(self, callback, args, elapsed, sim_time, heap_len):
+        self.times.append(sim_time)
+
+
+class TestInstrumentedSimulations:
+    """The simulation side of :func:`instrumented`: dispatch monitors."""
+
+    def test_each_simulation_gets_its_own_monitor(self):
+        made = []
+
+        def factory(sim):
+            made.append((sim, Recorder()))
+            return made[-1][1]
+
+        with instrumented(sim=[factory]):
+            first, second = Simulation(seed=1), Simulation(seed=2)
+            TraceLog(first)  # a trace is not a simulation: no call
+        assert [sim for sim, _ in made] == [first, second]
+        assert first.monitors == (made[0][1],)
+        assert second.monitors == (made[1][1],)
+        first.call_after(0.5, lambda: None)
+        first.run()
+        assert made[0][1].times == [0.5]
+        assert made[1][1].times == []
+
+    def test_a_factory_may_decline_and_outside_the_block_nothing_attaches(self):
+        with instrumented(sim=[lambda sim: None]):
+            assert Simulation().monitors == ()
+        monitor = Recorder()
+        with instrumented(sim=[lambda sim: monitor]):
+            pass
+        outside = Simulation()
+        outside.call_after(0.5, lambda: None)
+        outside.run()
+        assert outside.monitors == ()
+        assert monitor.times == []
+
+    def test_blocks_nest_and_restore_on_exception(self):
+        outer, inner = Recorder(), Recorder()
+        with instrumented(sim=[lambda sim: outer]):
+            with pytest.raises(RuntimeError):
+                with instrumented(sim=[lambda sim: inner]):
+                    assert Simulation().monitors == (outer, inner)
+                    raise RuntimeError("boom")
+            assert Simulation().monitors == (outer,)
+        assert Simulation().monitors == ()

@@ -5,9 +5,9 @@ import pytest
 from repro.obs.causal import CausalSink
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sinks import MemorySink, StreamingSink
-from repro.sim.engine import Simulation
+from repro.sim.engine import Simulation, instrumented
 from repro.sim.rng import RngRegistry, derive_seed
-from repro.sim.trace import TraceLog, observed_traces
+from repro.sim.trace import TraceLog
 
 
 class TestTraceLog:
@@ -103,6 +103,8 @@ class TestTraceLog:
 
 
 class TestObservedTraces:
+    """The trace side of :func:`instrumented`: sinks and registry."""
+
     def test_observers_land_behind_the_primary_sink(self):
         made = []
 
@@ -110,7 +112,7 @@ class TestObservedTraces:
             made.append((trace, StreamingSink()))
             return made[-1][1]
 
-        with observed_traces(factory):
+        with instrumented(trace=[factory]):
             default = TraceLog(Simulation())
             explicit = TraceLog(Simulation(), sinks=[StreamingSink()])
         assert [trace for trace, _ in made] == [default, explicit]
@@ -125,10 +127,10 @@ class TestObservedTraces:
         assert made[1][1].count("deliver") == 0
 
     def test_a_factory_may_decline_and_outside_the_block_nothing_attaches(self):
-        with observed_traces(lambda trace: None):
+        with instrumented(trace=[lambda trace: None]):
             assert len(TraceLog(Simulation()).sinks) == 1
         sink = StreamingSink()
-        with observed_traces(lambda trace: sink):
+        with instrumented(trace=[lambda trace: sink]):
             pass
         outside = TraceLog(Simulation())
         outside.record("deliver", node="/a", item="i", latency=0.1)
@@ -137,9 +139,9 @@ class TestObservedTraces:
 
     def test_blocks_nest_and_restore_on_exception(self):
         outer, inner = StreamingSink(), StreamingSink()
-        with observed_traces(lambda trace: outer):
+        with instrumented(trace=[lambda trace: outer]):
             with pytest.raises(RuntimeError):
-                with observed_traces(lambda trace: inner):
+                with instrumented(trace=[lambda trace: inner]):
                     assert TraceLog(Simulation()).sinks[1:] == (outer, inner)
                     raise RuntimeError("boom")
             assert TraceLog(Simulation()).sinks[1:] == (outer,)
@@ -147,12 +149,12 @@ class TestObservedTraces:
 
     def test_block_registry_fills_in_but_explicit_metrics_win(self):
         block, explicit, inner = MetricsRegistry(), MetricsRegistry(), MetricsRegistry()
-        with observed_traces(metrics=block):
+        with instrumented(metrics=block):
             assert TraceLog(Simulation()).metrics is block
             assert TraceLog(Simulation(), metrics=explicit).metrics is explicit
-            with observed_traces(metrics=inner):
+            with instrumented(metrics=inner):
                 assert TraceLog(Simulation()).metrics is inner
-            with observed_traces():  # no registry of its own: inherits
+            with instrumented():  # no registry of its own: inherits
                 assert TraceLog(Simulation()).metrics is block
             assert TraceLog(Simulation()).metrics is block
         assert TraceLog(Simulation()).metrics is not block

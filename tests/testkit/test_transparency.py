@@ -10,7 +10,7 @@ offer ``--check-invariants`` without a determinism caveat.
 
 from repro.experiments.e2_latency import run_e2
 from repro.experiments.e12_routing import run_e12
-from repro.sim.trace import observed_traces
+from repro.sim.engine import instrumented
 from repro.testkit.invariants import InvariantSuite
 
 from tests.integration.test_golden_fingerprints import (
@@ -42,7 +42,7 @@ E2_SMALL_GOLDEN = (
 class TestSuiteTransparency:
     def test_fingerprint_identical_with_suite_attached(self):
         suite = InvariantSuite()
-        with observed_traces(lambda trace: suite):
+        with instrumented(trace=[lambda trace: suite]):
             result = run_e2(**E2_SMALL_KWARGS)
         assert fingerprint(result) == E2_SMALL_GOLDEN
         # The suite genuinely observed the run...
@@ -56,7 +56,7 @@ class TestSuiteTransparency:
         # A bare run vs one observed by a suite: identical results
         # either way.
         baseline = run_e2(**E2_SMALL_KWARGS)
-        with observed_traces(lambda trace: InvariantSuite()):
+        with instrumented(trace=[lambda trace: InvariantSuite()]):
             observed = run_e2(**E2_SMALL_KWARGS)
         assert fingerprint(baseline) == fingerprint(observed)
 
@@ -72,7 +72,7 @@ class TestSuiteTransparency:
             suites.append(InvariantSuite())
             return suites[-1]
 
-        with observed_traces(suite_per_trace):
+        with instrumented(trace=[suite_per_trace]):
             result = run_e12(**E12_SMALL_KWARGS)
         assert e12_fingerprint(result) == E12_SMALL_GOLDEN
         assert len(suites) == len(result.rows)
