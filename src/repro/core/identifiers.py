@@ -32,7 +32,7 @@ class ZonePath:
     and support ``child``/``parent``/``ancestors`` navigation.
     """
 
-    __slots__ = ("_labels", "_hash")
+    __slots__ = ("_labels", "_hash", "_str")
 
     def __init__(self, labels: tuple[str, ...] = ()):
         for label in labels:
@@ -40,6 +40,7 @@ class ZonePath:
                 raise ZoneError(f"invalid zone label: {label!r}")
         self._labels = tuple(labels)
         self._hash = hash(self._labels)
+        self._str: str | None = None
 
     @classmethod
     def parse(cls, text: str) -> "ZonePath":
@@ -49,7 +50,11 @@ class ZonePath:
             return cls()
         if not text.startswith("/"):
             raise ZoneError(f"zone path must start with '/': {text!r}")
-        return cls(tuple(part for part in text.split("/") if part))
+        path = cls(tuple(part for part in text.split("/") if part))
+        if "//" not in text and not text.endswith("/"):
+            # Already canonical: ``str(path)`` shares the caller's string.
+            path._str = text
+        return path
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -123,11 +128,17 @@ class ZonePath:
         # The cached hash is process-local (string hashing is salted per
         # interpreter), so unpickling must rebuild through the
         # constructor — carrying the slot values verbatim would poison
-        # every dict lookup in the receiving process.
+        # every dict lookup in the receiving process.  The cached string
+        # is dropped with it and rebuilt on first use.
         return (ZonePath, (self._labels,))
 
     def __str__(self) -> str:
-        return "/" + "/".join(self._labels)
+        # Built once per path, so every trace field naming this zone
+        # or node shares one string.
+        text = self._str
+        if text is None:
+            text = self._str = "/" + "/".join(self._labels)
+        return text
 
     def __repr__(self) -> str:
         return f"ZonePath({str(self)!r})"
@@ -155,6 +166,27 @@ class ItemId:
     serial: int
     revision: int = 0
 
+    def __post_init__(self) -> None:
+        # Both caches live outside the dataclass fields, so equality,
+        # ordering, ``repr`` and ``asdict`` are unchanged.  The hash is
+        # the value the dataclass itself would compute (set and
+        # frozenset iteration orders stay the same); the string is
+        # shared by every trace field naming this item.
+        object.__setattr__(
+            self, "_hash", hash((self.publisher, self.serial, self.revision))
+        )
+        object.__setattr__(
+            self, "_str", f"{self.publisher}:{self.serial}.r{self.revision}"
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        # Like ZonePath: the cached hash is process-local, so unpickling
+        # rebuilds both caches through the constructor.
+        return (ItemId, (self.publisher, self.serial, self.revision))
+
     def with_revision(self, revision: int) -> "ItemId":
         return ItemId(self.publisher, self.serial, revision)
 
@@ -164,4 +196,4 @@ class ItemId:
         return (self.publisher, self.serial)
 
     def __str__(self) -> str:
-        return f"{self.publisher}:{self.serial}.r{self.revision}"
+        return self._str

@@ -30,12 +30,16 @@ class RumorBuffer(Generic[ItemKeyT, PayloadT]):
     def __init__(self, capacity: int = 256):
         self.capacity = capacity
         self._items: "OrderedDict[ItemKeyT, PayloadT]" = OrderedDict()
+        #: Bumped on every change to the contents, so a reader can keep
+        #: something derived from them (a digest) until it moves.
+        self.generation = 0
 
     def add(self, key: ItemKeyT, payload: PayloadT) -> bool:
         """Record an item; returns False when it was already known."""
         if key in self._items:
             return False
         self._items[key] = payload
+        self.generation += 1
         while len(self._items) > self.capacity:
             self._items.popitem(last=False)
         return True

@@ -81,6 +81,14 @@ class MulticastNode(AstrolabeAgent):
         self.forward_log: RumorBuffer[Hashable, Envelope] = RumorBuffer(
             mc.repair_buffer_capacity
         )
+        #: ``zone.child(label)`` per row this node has disseminated
+        #: through, so every forward into a child shares one path (and
+        #: its trace string); bounded by the zone tables it replicates.
+        self._child_paths: dict[tuple[ZonePath, str], ZonePath] = {}
+        #: The last repair digest's entries and the ``delivered``
+        #: generation they were built at.
+        self._digest_entries: tuple = ()
+        self._digest_generation = -1
         self._mc_rng = self.runtime.rng("multicast")
         self._repair_timer = None
 
@@ -157,8 +165,11 @@ class MulticastNode(AstrolabeAgent):
             self._deliver(envelope, sender=sender, hop=hop)
             return
         table = self.zone_table(zone)
+        child_paths = self._child_paths
         for label, row in table.rows():
-            child = zone.child(label)
+            child = child_paths.get((zone, label))
+            if child is None:
+                child = child_paths[zone, label] = zone.child(label)
             if not self.forward_filter(child, row, envelope):
                 self.trace.record(
                     "filtered", zone=str(child), item=str(envelope.item_key)
@@ -369,11 +380,16 @@ class MulticastNode(AstrolabeAgent):
         partner = self._pick_repair_partner()
         if partner is None:
             return
-        entries = tuple(
-            (key, env.subject, env.hints, env.scope)
-            for key, env in ((k, self.delivered.get(k)) for k in self.delivered.digest())
-            if env is not None
-        )
+        if self._digest_generation != self.delivered.generation:
+            self._digest_generation = self.delivered.generation
+            self._digest_entries = tuple(
+                (key, env.subject, env.hints, env.scope)
+                for key, env in (
+                    (k, self.delivered.get(k)) for k in self.delivered.digest()
+                )
+                if env is not None
+            )
+        entries = self._digest_entries
         self._m_repair_digests.inc()
         self.trace.record(
             "repair-digest",

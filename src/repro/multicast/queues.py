@@ -25,7 +25,7 @@ makes publisher/forwarder overload observable (E4).
 from __future__ import annotations
 
 import heapq
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, Optional
 
@@ -96,10 +96,14 @@ class ForwardingQueues:
         self._backlog = 0
         self._draining = False
         # fifo / urgency_first use one global heap; the per-target
-        # strategies use per-target deques plus DRR bookkeeping.
+        # strategies use per-target deques plus DRR bookkeeping.  Only
+        # non-empty queues are kept, so a send slot scans the targets
+        # with a backlog, not every target ever served; credit and
+        # first-seen rank (the tie-break) outlive a queue's emptying.
         self._heap: list[_Pending] = []
-        self._queues: "OrderedDict[NodeId, Deque[_Pending]]" = OrderedDict()
+        self._queues: Dict[NodeId, Deque[_Pending]] = {}
         self._deficit: Dict[NodeId, float] = {}
+        self._rank: Dict[NodeId, int] = {}
 
     # -- intake ------------------------------------------------------------
 
@@ -134,9 +138,10 @@ class ForwardingQueues:
         else:
             queue = self._queues.get(target)
             if queue is None:
-                queue = deque()
-                self._queues[target] = queue
-                self._deficit[target] = 0.0
+                queue = self._queues[target] = deque()
+                if target not in self._rank:
+                    self._rank[target] = len(self._rank)
+                    self._deficit[target] = 0.0
             queue.append(pending)
         self._backlog += 1
         self.stats.enqueued += 1
@@ -186,11 +191,14 @@ class ForwardingQueues:
             return heapq.heappop(self._heap) if self._heap else None
         if self._strategy == "shortest_queue":
             best: Optional[NodeId] = None
-            best_len = 0
+            best_len = best_rank = 0
             for target, queue in self._queues.items():
-                if queue and (best is None or len(queue) < best_len):
-                    best, best_len = target, len(queue)
-            return self._queues[best].popleft() if best is not None else None
+                rank = self._rank[target]
+                if best is None or len(queue) < best_len or (
+                    len(queue) == best_len and rank < best_rank
+                ):
+                    best, best_len, best_rank = target, len(queue), rank
+            return self._pop(best) if best is not None else None
         return self._pick_weighted_rr()
 
     def _pick_weighted_rr(self) -> Optional[_Pending]:
@@ -201,22 +209,33 @@ class ForwardingQueues:
         representatives); the queue with the most accumulated credit is
         served and reset.  A queue with twice the weight accumulates
         credit twice as fast, so it wins slots twice as often — the
-        weighted shares of §9 — while ties break by queue age for
-        determinism.
+        weighted shares of §9 — while ties go to the target seen first,
+        for determinism.
         """
+        deficit = self._deficit
+        ranks = self._rank
         best: Optional[NodeId] = None
         best_credit = float("-inf")
+        best_rank = 0
         for target, queue in self._queues.items():
-            if not queue:
-                continue
-            credit = self._deficit.get(target, 0.0) + queue[0].weight
-            self._deficit[target] = credit
-            if credit > best_credit:
-                best, best_credit = target, credit
+            credit = deficit[target] + queue[0].weight
+            deficit[target] = credit
+            if credit > best_credit or (
+                credit == best_credit and ranks[target] < best_rank
+            ):
+                best, best_credit, best_rank = target, credit, ranks[target]
         if best is None:
             return None
-        self._deficit[best] = 0.0
-        return self._queues[best].popleft()
+        deficit[best] = 0.0
+        return self._pop(best)
+
+    def _pop(self, target: NodeId) -> _Pending:
+        """Take the head of ``target``'s queue, dropping the queue once empty."""
+        queue = self._queues[target]
+        pending = queue.popleft()
+        if not queue:
+            del self._queues[target]
+        return pending
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -229,8 +248,8 @@ class ForwardingQueues:
             # crashed forwarder rather than silently vanishing.
             node = str(self.node.node_id)
             pendings = list(self._heap)
-            for queue in self._queues.values():
-                pendings.extend(queue)
+            for target in sorted(self._queues, key=self._rank.__getitem__):
+                pendings.extend(self._queues[target])
             for pending in pendings:
                 envelope = getattr(pending.message, "envelope", None)
                 if envelope is not None:
@@ -244,6 +263,7 @@ class ForwardingQueues:
         self._heap.clear()
         self._queues.clear()
         self._deficit.clear()
+        self._rank.clear()
         self._backlog = 0
         self._draining = False
         self.stats.dropped_on_crash += dropped

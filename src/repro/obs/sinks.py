@@ -24,7 +24,7 @@ Sinks without it are fed the batch one ``emit`` at a time.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 from typing import Any, Dict, IO, Mapping, Optional, Protocol, Sequence, Tuple, Union
 
@@ -34,28 +34,87 @@ from repro.obs.metrics import DEFAULT_BUCKETS, HistogramData
 TraceBatch = Sequence[Tuple[float, Mapping[str, Any]]]
 
 
-@dataclass(frozen=True)
 class TraceEvent:
-    """One recorded milestone."""
+    """One recorded milestone: ``time``, ``kind`` and its ``fields``.
 
-    time: float
-    kind: str
-    fields: tuple[tuple[str, Any], ...]
+    Stored compactly, because a :class:`MemorySink` keeps every one: the
+    field names and the field values sit in two parallel tuples, and a
+    sink hands every event of one field shape the same names tuple.
+    ``fields`` rebuilds the ``(name, value)`` pairs on demand.  Events
+    are immutable; equality, hashing, ``repr`` and pickling go through
+    ``(time, kind, fields)``.
+    """
+
+    __slots__ = ("time", "kind", "_keys", "_values")
+
+    def __init__(self, time: float, kind: str, fields: tuple[tuple[str, Any], ...]):
+        _set_time(self, time)
+        _set_kind(self, kind)
+        _set_keys(self, tuple(name for name, _ in fields))
+        _set_values(self, tuple(value for _, value in fields))
+
+    @property
+    def fields(self) -> tuple[tuple[str, Any], ...]:
+        return tuple(zip(self._keys, self._values))
 
     def __getitem__(self, key: str) -> Any:
-        for name, value in self.fields:
-            if name == key:
-                return value
-        raise KeyError(key)
+        try:
+            return self._values[self._keys.index(key)]
+        except ValueError:
+            raise KeyError(key) from None
 
     def get(self, key: str, default: Any = None) -> Any:
-        for name, value in self.fields:
-            if name == key:
-                return value
-        return default
+        try:
+            return self._values[self._keys.index(key)]
+        except ValueError:
+            return default
 
     def as_dict(self) -> Dict[str, Any]:
-        return dict(self.fields)
+        return dict(zip(self._keys, self._values))
+
+    def __eq__(self, other: object) -> Any:
+        if other.__class__ is not TraceEvent:
+            return NotImplemented
+        return (self.time, self.kind, self._keys, self._values) == (
+            other.time,
+            other.kind,
+            other._keys,
+            other._values,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.time, self.kind, self.fields))
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return (TraceEvent, (self.time, self.kind, self.fields))
+
+    def __repr__(self) -> str:
+        return (
+            f"TraceEvent(time={self.time!r}, kind={self.kind!r}, "
+            f"fields={self.fields!r})"
+        )
+
+
+# Slot descriptors write past the frozen ``__setattr__``.
+_set_time, _set_kind, _set_keys, _set_values = (
+    TraceEvent.__dict__[name].__set__ for name in TraceEvent.__slots__
+)
+
+
+def _event(time: float, kind: str, keys: tuple, values: tuple) -> TraceEvent:
+    """A :class:`TraceEvent` from ready-made names and values tuples."""
+    event = object.__new__(TraceEvent)
+    _set_time(event, time)
+    _set_kind(event, kind)
+    _set_keys(event, keys)
+    _set_values(event, values)
+    return event
 
 
 class TraceSink(Protocol):
@@ -84,13 +143,23 @@ class MemorySink:
 
     def __init__(self) -> None:
         self.events: list[TraceEvent] = []
+        #: One names tuple per field shape, shared by every event of it.
+        self._shapes: Dict[tuple, tuple] = {}
+
+    def _shape(self, fields: Mapping[str, Any]) -> tuple:
+        keys = tuple(fields)
+        return self._shapes.setdefault(keys, keys)
 
     def emit(self, time: float, kind: str, fields: Mapping[str, Any]) -> None:
-        self.events.append(TraceEvent(time, kind, tuple(fields.items())))
+        self.events.append(
+            _event(time, kind, self._shape(fields), tuple(fields.values()))
+        )
 
     def emit_many(self, kind: str, events: TraceBatch) -> None:
+        shape = self._shape
         self.events.extend(
-            TraceEvent(time, kind, tuple(fields.items())) for time, fields in events
+            _event(time, kind, shape(fields), tuple(fields.values()))
+            for time, fields in events
         )
 
     @property

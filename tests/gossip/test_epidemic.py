@@ -50,3 +50,14 @@ class TestRumorBuffer:
         buffer.add("a", 1)
         buffer.add("b", 2)
         assert buffer.add("a", 3)  # aged out, rumored anew
+
+    def test_generation_moves_only_when_contents_change(self):
+        buffer = RumorBuffer(capacity=2)
+        start = buffer.generation
+        buffer.add("a", 1)
+        assert buffer.generation == start + 1
+        buffer.add("a", 2)  # already known: nothing changed
+        assert buffer.generation == start + 1
+        buffer.add("b", 2)
+        buffer.add("c", 3)  # evicts "a"
+        assert buffer.generation == start + 3

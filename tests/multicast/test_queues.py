@@ -1,6 +1,9 @@
 """Tests for forwarding queues and drain strategies."""
 
+from collections import OrderedDict, deque
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.config import MulticastConfig
 from repro.core.errors import ConfigurationError
@@ -132,3 +135,90 @@ class TestCrashBehaviour:
         queues.restart()
         sim.run()
         assert [m for _, m in sent] == ["x"]
+
+
+class LegacyPerTargetRule:
+    """The per-target pick rules as they were when every queue a
+    forwarder ever used stayed in one ``OrderedDict`` and each send
+    slot scanned all of them: the oracle for the differential test."""
+
+    def __init__(self, strategy: str):
+        self.strategy = strategy
+        self.queues: "OrderedDict[ZonePath, deque]" = OrderedDict()
+        self.deficit: dict = {}
+
+    def enqueue(self, target, message, weight):
+        queue = self.queues.get(target)
+        if queue is None:
+            queue = deque()
+            self.queues[target] = queue
+            self.deficit[target] = 0.0
+        queue.append((message, weight))
+
+    def pick(self):
+        if self.strategy == "shortest_queue":
+            best, best_len = None, 0
+            for target, queue in self.queues.items():
+                if queue and (best is None or len(queue) < best_len):
+                    best, best_len = target, len(queue)
+            return (best, self.queues[best].popleft()[0]) if best else None
+        best, best_credit = None, float("-inf")
+        for target, queue in self.queues.items():
+            if not queue:
+                continue
+            credit = self.deficit.get(target, 0.0) + queue[0][1]
+            self.deficit[target] = credit
+            if credit > best_credit:
+                best, best_credit = target, credit
+        if best is None:
+            return None
+        self.deficit[best] = 0.0
+        return best, self.queues[best].popleft()[0]
+
+    def clear(self):
+        self.queues.clear()
+        self.deficit.clear()
+
+
+TARGETS = [zp(f"/z/t{index}") for index in range(4)]
+# Few targets and mostly equal weights make credit ties common; the odd
+# fractions exercise float credit.  ``clear`` is rare, as crashes are.
+OPERATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(["enqueue"] * 4 + ["pick"] * 3 + ["clear"]),
+        st.integers(0, len(TARGETS) - 1),
+        st.sampled_from([1.0, 1.0, 1.0, 2.0, 0.5, 7.25]),
+    ),
+    min_size=20,
+    max_size=80,
+)
+
+
+@pytest.mark.parametrize("strategy", ["weighted_rr", "shortest_queue"])
+@given(operations=OPERATIONS)
+@example(  # a tie between a re-filled queue and one seen later
+    operations=[("enqueue", 0, 1.0), ("pick", 0, 1.0), ("enqueue", 1, 1.0),
+                ("enqueue", 0, 1.0), ("pick", 0, 1.0), ("pick", 0, 1.0)],
+)
+@settings(max_examples=150, deadline=None)
+def test_pick_order_matches_the_full_scan(strategy, operations):
+    """Scanning only non-empty queues picks what scanning every queue
+    ever seen picked: same targets in the same order, ties to the
+    target seen first, empty queues' credit left alone, and ``clear``
+    forgetting both."""
+    sim, node, queues, sent = make_queues(strategy)
+    legacy = LegacyPerTargetRule(strategy)
+    picked = []
+    for serial, (operation, index, weight) in enumerate(operations):
+        if operation == "enqueue":
+            queues.enqueue(TARGETS[index], serial, weight=weight)
+            legacy.enqueue(TARGETS[index], serial, weight)
+        elif operation == "pick":
+            queues._drain_one()
+            picked.append(legacy.pick())
+        else:
+            queues.clear()
+            legacy.clear()
+        if strategy == "weighted_rr":
+            assert queues._deficit == legacy.deficit
+    assert sent == [pick for pick in picked if pick is not None]

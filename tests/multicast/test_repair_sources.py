@@ -3,7 +3,7 @@
 from repro.core.config import NewsWireConfig
 from repro.core.identifiers import ZonePath
 from repro.astrolabe.deployment import build_astrolabe
-from repro.multicast.messages import Envelope, RepairRequest
+from repro.multicast.messages import Envelope, RepairDigest, RepairRequest
 from repro.multicast.node import MulticastNode
 
 
@@ -59,3 +59,38 @@ class TestForwardLog:
         source.receive(requester.node_id, RepairRequest(("ghost",)))
         deployment.sim.run_for(2)
         assert "ghost" not in requester.delivered
+
+
+class TestRepairDigest:
+    def test_entries_rebuilt_only_when_deliveries_change(self):
+        """A node reuses its digest entries until ``delivered`` moves,
+        and the entries always equal a fresh build, in the same order."""
+        deployment = build()
+        deployment.run_rounds(2)
+        node = deployment.agents[0]
+        digests = []
+        node.send = lambda target, message: digests.append(message)
+
+        def fresh():
+            return tuple(
+                (key, env.subject, env.hints, env.scope)
+                for key, env in (
+                    (k, node.delivered.get(k)) for k in node.delivered.digest()
+                )
+            )
+
+        for key in ("k1", "k2", "k3"):
+            node.delivered.add(key, envelope(key, deployment.sim))
+        node._repair_round()
+        before = fresh()
+        node._repair_round()
+        node.delivered.add("k4", envelope("k4", deployment.sim))
+        node._repair_round()
+        first, second, third = [
+            message.entries for message in digests if isinstance(message, RepairDigest)
+        ]
+        assert first == before
+        assert second is first
+        assert third is not first
+        assert third == fresh()
+        assert {entry[0] for entry in first} == {"k1", "k2", "k3"}

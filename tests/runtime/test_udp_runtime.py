@@ -83,6 +83,57 @@ def test_identifier_keys_survive_the_wire():
     assert clone in {path: True}
 
 
+# Pickles a ZonePath and an ItemId, both with their caches filled.
+_DUMP = """
+import pickle, sys
+from repro.core.identifiers import ItemId, ZonePath
+path, item = ZonePath(("z0", "n3")), ItemId("wire", 7, 1)
+hash(path), str(path), hash(item), str(item)
+sys.stdout.write(pickle.dumps((path, item)).hex())
+"""
+
+# Loads them under another string-hash salt and uses them as keys.
+_LOAD = """
+import pickle, sys
+from repro.core.identifiers import ItemId, ZonePath
+path, item = pickle.loads(bytes.fromhex(sys.stdin.read()))
+fresh_path, fresh_item = ZonePath(("z0", "n3")), ItemId("wire", 7, 1)
+assert hash(path) == hash(fresh_path), "ZonePath hash crossed the wire"
+assert hash(item) == hash(fresh_item), "ItemId hash crossed the wire"
+assert {fresh_path: 1}.get(path) == 1 and {path: 1}.get(fresh_path) == 1
+assert {fresh_item: 1}.get(item) == 1 and {item: 1}.get(fresh_item) == 1
+assert (str(path), str(item)) == ("/z0/n3", "wire:7.r1")
+print("ok")
+"""
+
+
+def test_identifier_caches_rebuilt_in_another_interpreter():
+    """Live nodes are separate interpreters with different string-hash
+    salts: a hash cached by the sender must not survive unpickling."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def run(code, seed, stdin=""):
+        env["PYTHONHASHSEED"] = seed
+        done = subprocess.run(
+            [sys.executable, "-c", code], input=stdin, env=env,
+            capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    dumped = run(_DUMP, "1")
+    assert run(_LOAD, "2", dumped).strip() == "ok"
+
+
 def test_send_to_unknown_destination_counts_drop():
     async def main():
         runtime, alice, bob = make_pair(BASE_PORT + 10)
