@@ -61,6 +61,21 @@ TableListener = Callable[[ZonePath, list[str]], None]
 _node_id = functools.lru_cache(maxsize=1 << 16)(ZonePath.parse)
 
 
+def contact_node_id(contact: object) -> Optional[NodeId]:
+    """The node ``contact`` names, or None if it names none.
+
+    Contacts arrive in gossiped rows, which may come from a corrupted
+    or foreign replica: a non-string or unparsable entry is unusable,
+    not an error that may abort a gossip round or a dissemination walk.
+    """
+    if isinstance(contact, str):
+        try:
+            return _node_id(contact)
+        except ZoneError:
+            pass
+    return None
+
+
 def expiry_cutoff(now: float, config: NewsWireConfig) -> float:
     """Timestamp horizon below which unrefreshed rows are reaped.
 
@@ -385,7 +400,9 @@ class AstrolabeAgent(Process):
                 contacts = row.get("contacts", ())
                 if isinstance(contacts, tuple):
                     candidates.update(
-                        c for c in contacts if isinstance(c, str) and c != me
+                        c
+                        for c in contacts
+                        if c != me and contact_node_id(c) is not None
                     )
             cached = (table.content_token, sorted(candidates))
             self._candidates[zone] = cached

@@ -28,11 +28,12 @@ from __future__ import annotations
 from typing import Any, Hashable, Optional
 
 from repro.core.config import NewsWireConfig
+from repro.core.errors import AggregationError
 from repro.core.identifiers import NodeId, ZonePath
 from repro.gossip.epidemic import RumorBuffer
 from repro.runtime.interface import Runtime
 from repro.sim.trace import TraceLog
-from repro.astrolabe.agent import AstrolabeAgent
+from repro.astrolabe.agent import AstrolabeAgent, contact_node_id
 from repro.astrolabe.certificates import KeyChain
 from repro.astrolabe.mib import Row
 from repro.multicast.messages import (
@@ -43,6 +44,18 @@ from repro.multicast.messages import (
     RepairResponse,
 )
 from repro.multicast.queues import ForwardingQueues
+
+
+def _usable_contacts(contacts: tuple) -> list[tuple[str, NodeId]]:
+    """``(contact, node id)`` for each contact that names a node, in
+    order: a row whose contacts are all usable yields all of them, so
+    the representative draw is the one the raw tuple would give."""
+    usable = []
+    for contact in contacts:
+        node = contact_node_id(contact)
+        if node is not None:
+            usable.append((contact, node))
+    return usable
 
 
 class MulticastNode(AstrolabeAgent):
@@ -196,15 +209,21 @@ class MulticastNode(AstrolabeAgent):
         self, child: ZonePath, row: Row, envelope: Envelope, hop: int = 0
     ) -> None:
         contacts = row.get("contacts", ())
-        if not isinstance(contacts, tuple) or not contacts:
+        usable = _usable_contacts(contacts) if isinstance(contacts, tuple) else ()
+        if not usable:
             self.trace.record(
                 "no-representative", zone=str(child), item=str(envelope.item_key)
             )
             return
-        count = min(self.config.multicast.send_to_representatives, len(contacts))
-        targets = self._mc_rng.sample(list(contacts), count)
+        count = min(self.config.multicast.send_to_representatives, len(usable))
+        # ``choice`` draws what ``sample(usable, 1)[0]`` would: both
+        # consume one ``_randbelow(len(usable))``.
+        if count == 1:
+            targets = (self._mc_rng.choice(usable),)
+        else:
+            targets = self._mc_rng.sample(usable, count)
         weight = float(row.get("nmembers", 1) or 1)
-        for target in targets:
+        for target, target_id in targets:
             self._m_forwards.inc()
             self.trace.record(
                 "forward",
@@ -215,7 +234,7 @@ class MulticastNode(AstrolabeAgent):
                 hop=hop + 1,
             )
             self.queues.enqueue(
-                ZonePath.parse(target),
+                target_id,
                 ForwardMsg(child, envelope, hop + 1),
                 weight=weight,
                 urgency=envelope.urgency,
@@ -235,7 +254,7 @@ class MulticastNode(AstrolabeAgent):
 
             try:
                 predicate = compile_predicate(source)
-            except Exception:
+            except AggregationError:
                 # A malformed predicate must not break dissemination;
                 # fail open and let leaf-level filters decide.
                 def predicate(mapping):
@@ -246,7 +265,11 @@ class MulticastNode(AstrolabeAgent):
         try:
             return bool(predicate(row.mapping))
         except Exception:
-            return True  # evaluation error on this row: fail open
+            # Evaluation error on this row (a corrupted or foreign
+            # attribute): fail open, but count it.  The counter is
+            # registered on first use, so error-free runs carry none.
+            self.trace.metrics.counter("multicast.predicate_errors").inc()
+            return True
 
     def _route_toward(
         self, zone: ZonePath, envelope: Envelope, hop: int = 0
@@ -419,8 +442,8 @@ class MulticastNode(AstrolabeAgent):
             key
             for key, subject, hints, scope in message.entries
             if key not in self.delivered
-            and scope.contains(self.node_id)
             and self.wants_repair(subject, hints)
+            and scope.contains(self.node_id)
         )
         if missing:
             self.send(sender, RepairRequest(missing))

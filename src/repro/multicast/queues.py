@@ -60,6 +60,20 @@ class _Pending:
     weight: float = field(compare=False)
 
 
+class _Lane:
+    """One target's queue with its weighted-round-robin credit and
+    first-seen rank (the tie-break).  Credit and rank outlive the
+    queue's emptying; the deque itself is held only while it has
+    messages, so idle targets cost no deque."""
+
+    __slots__ = ("pending", "credit", "rank")
+
+    def __init__(self, rank: int):
+        self.pending: Optional[Deque[_Pending]] = None
+        self.credit = 0.0
+        self.rank = rank
+
+
 class ForwardingQueues:
     """Paced, strategy-scheduled output queues for one forwarding node."""
 
@@ -96,14 +110,12 @@ class ForwardingQueues:
         self._backlog = 0
         self._draining = False
         # fifo / urgency_first use one global heap; the per-target
-        # strategies use per-target deques plus DRR bookkeeping.  Only
-        # non-empty queues are kept, so a send slot scans the targets
-        # with a backlog, not every target ever served; credit and
-        # first-seen rank (the tie-break) outlive a queue's emptying.
+        # strategies keep one lane per target seen since the last
+        # ``clear`` (in first-seen order) and scan only the active
+        # lanes, those with a backlog, on each send slot.
         self._heap: list[_Pending] = []
-        self._queues: Dict[NodeId, Deque[_Pending]] = {}
-        self._deficit: Dict[NodeId, float] = {}
-        self._rank: Dict[NodeId, int] = {}
+        self._lanes: Dict[NodeId, _Lane] = {}
+        self._active: list[_Lane] = []
 
     # -- intake ------------------------------------------------------------
 
@@ -136,13 +148,13 @@ class ForwardingQueues:
                 pending.sort_key = (self._seq,)
             heapq.heappush(self._heap, pending)
         else:
-            queue = self._queues.get(target)
-            if queue is None:
-                queue = self._queues[target] = deque()
-                if target not in self._rank:
-                    self._rank[target] = len(self._rank)
-                    self._deficit[target] = 0.0
-            queue.append(pending)
+            lane = self._lanes.get(target)
+            if lane is None:
+                lane = self._lanes[target] = _Lane(len(self._lanes))
+            if lane.pending is None:
+                lane.pending = deque()
+                self._active.append(lane)
+            lane.pending.append(pending)
         self._backlog += 1
         self.stats.enqueued += 1
         self.stats.max_backlog = max(self.stats.max_backlog, self._backlog)
@@ -190,14 +202,14 @@ class ForwardingQueues:
         if self._strategy in ("fifo", "urgency_first"):
             return heapq.heappop(self._heap) if self._heap else None
         if self._strategy == "shortest_queue":
-            best: Optional[NodeId] = None
+            best: Optional[_Lane] = None
             best_len = best_rank = 0
-            for target, queue in self._queues.items():
-                rank = self._rank[target]
-                if best is None or len(queue) < best_len or (
-                    len(queue) == best_len and rank < best_rank
+            for lane in self._active:
+                length = len(lane.pending)
+                if best is None or length < best_len or (
+                    length == best_len and lane.rank < best_rank
                 ):
-                    best, best_len, best_rank = target, len(queue), rank
+                    best, best_len, best_rank = lane, length, lane.rank
             return self._pop(best) if best is not None else None
         return self._pick_weighted_rr()
 
@@ -212,29 +224,28 @@ class ForwardingQueues:
         weighted shares of §9 — while ties go to the target seen first,
         for determinism.
         """
-        deficit = self._deficit
-        ranks = self._rank
-        best: Optional[NodeId] = None
+        best: Optional[_Lane] = None
         best_credit = float("-inf")
         best_rank = 0
-        for target, queue in self._queues.items():
-            credit = deficit[target] + queue[0].weight
-            deficit[target] = credit
+        for lane in self._active:
+            credit = lane.credit + lane.pending[0].weight
+            lane.credit = credit
             if credit > best_credit or (
-                credit == best_credit and ranks[target] < best_rank
+                credit == best_credit and lane.rank < best_rank
             ):
-                best, best_credit, best_rank = target, credit, ranks[target]
+                best, best_credit, best_rank = lane, credit, lane.rank
         if best is None:
             return None
-        deficit[best] = 0.0
+        best.credit = 0.0
         return self._pop(best)
 
-    def _pop(self, target: NodeId) -> _Pending:
-        """Take the head of ``target``'s queue, dropping the queue once empty."""
-        queue = self._queues[target]
+    def _pop(self, lane: _Lane) -> _Pending:
+        """Take the head of ``lane``'s queue, releasing the queue once empty."""
+        queue = lane.pending
         pending = queue.popleft()
         if not queue:
-            del self._queues[target]
+            lane.pending = None
+            self._active.remove(lane)
         return pending
 
     # -- lifecycle -----------------------------------------------------------
@@ -248,8 +259,9 @@ class ForwardingQueues:
             # crashed forwarder rather than silently vanishing.
             node = str(self.node.node_id)
             pendings = list(self._heap)
-            for target in sorted(self._queues, key=self._rank.__getitem__):
-                pendings.extend(self._queues[target])
+            for lane in self._lanes.values():
+                if lane.pending is not None:
+                    pendings.extend(lane.pending)
             for pending in pendings:
                 envelope = getattr(pending.message, "envelope", None)
                 if envelope is not None:
@@ -261,9 +273,8 @@ class ForwardingQueues:
                         zone=str(getattr(pending.message, "zone", "")),
                     )
         self._heap.clear()
-        self._queues.clear()
-        self._deficit.clear()
-        self._rank.clear()
+        self._lanes.clear()
+        self._active.clear()
         self._backlog = 0
         self._draining = False
         self.stats.dropped_on_crash += dropped

@@ -63,6 +63,10 @@ class PubSubNode(MulticastNode):
         super().__init__(node_id, runtime, config, keychain, trace)
         self.scheme = scheme if scheme is not None else BloomScheme(self.config.bloom)
         self._subscriptions: list[Subscription] = []
+        #: ``wants_repair``'s answer per subject; every change to
+        #: ``_subscriptions`` goes through ``_export_subscriptions``,
+        #: which clears it.
+        self._repair_interest: dict[str, bool] = {}
         self._publish_serial = 0
         self._leaf_key = str(self.node_id)
         self._refresh_timer = None
@@ -161,6 +165,7 @@ class PubSubNode(MulticastNode):
         self.resubscribe(old, new)
 
     def _export_subscriptions(self) -> None:
+        self._repair_interest.clear()
         self.set_attributes(
             self.scheme.leaf_attributes(self._subscriptions, leaf_key=self._leaf_key)
         )
@@ -273,13 +278,28 @@ class PubSubNode(MulticastNode):
         return matched
 
     def accept(self, envelope: Envelope) -> bool:
-        if not self._subscriptions:
-            return False
-        metadata = item_metadata(envelope)
-        return any(
-            subscription.matches(envelope.subject, metadata)
-            for subscription in self._subscriptions
-        )
+        """True when some subscription matches ``envelope``.
+
+        The item's metadata is built only once a subject-matching
+        subscription has a predicate to evaluate it against.
+        """
+        subject = envelope.subject
+        metadata = None
+        for subscription in self._subscriptions:
+            if not subscription.matches_subject(subject):
+                continue
+            if subscription.predicate_source is None:
+                return True
+            if metadata is None:
+                metadata = item_metadata(envelope)
+            if subscription.admits(metadata):
+                return True
+        return False
 
     def wants_repair(self, subject: str, hints: tuple) -> bool:
-        return any(s.matches_subject(subject) for s in self._subscriptions)
+        wanted = self._repair_interest.get(subject)
+        if wanted is None:
+            wanted = self._repair_interest[subject] = any(
+                s.matches_subject(subject) for s in self._subscriptions
+            )
+        return wanted

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Mapping, Optional
 
-from repro.core.errors import SubscriptionError
+from repro.core.errors import AggregationError, SubscriptionError
 from repro.astrolabe.aql import compile_predicate
 
 
@@ -43,7 +43,7 @@ class Subscription:
         else:
             try:
                 self._predicate = compile_predicate(predicate)
-            except Exception as exc:
+            except AggregationError as exc:
                 raise SubscriptionError(
                     f"bad subscription predicate {predicate!r}: {exc}"
                 ) from exc
@@ -68,8 +68,10 @@ class Subscription:
 
     def matches(self, subject: str, metadata: Mapping[str, object]) -> bool:
         """The authoritative leaf-level test (§6's "final test")."""
-        if not self.matches_subject(subject):
-            return False
+        return self.matches_subject(subject) and self.admits(metadata)
+
+    def admits(self, metadata: Mapping[str, object]) -> bool:
+        """The predicate half of :meth:`matches` (True without one)."""
         if self._predicate is None:
             return True
         try:

@@ -12,6 +12,8 @@ from repro.runtime.sim import SimRuntime
 from repro.sim.engine import Simulation
 from repro.sim.network import FixedLatency, Network
 from repro.sim.node import Process
+from repro.sim.trace import TraceLog
+from repro.multicast.messages import Envelope, ForwardMsg
 from repro.multicast.queues import ForwardingQueues
 
 
@@ -127,6 +129,37 @@ class TestCrashBehaviour:
         sim.run()
         assert len(sent) == 0
 
+    @pytest.mark.parametrize("strategy", ["weighted_rr", "shortest_queue"])
+    def test_crash_traces_drops_by_first_seen_target(self, strategy):
+        """``queue-dropped`` events list targets in first-seen order, each
+        target's messages oldest first, also for a target whose queue
+        emptied and refilled after later targets appeared."""
+        sim = Simulation(seed=1)
+        network = Network(sim, latency=FixedLatency(0.001))
+        node = Process(zp("/z/fwd"), SimRuntime(sim, network))
+        node.trace = TraceLog(sim)
+        config = MulticastConfig(
+            queue_strategy=strategy, max_send_rate=10.0, forwarding_delay=0.0
+        )
+        queues = ForwardingQueues(node, config, send_fn=lambda t, m: None)
+        a, b, c = zp("/z/a"), zp("/z/b"), zp("/z/c")
+
+        def enqueue(target, key):
+            envelope = Envelope(item_key=key, payload=None, publisher="p", subject="s")
+            queues.enqueue(target, ForwardMsg(target, envelope, 1))
+
+        enqueue(a, "a1")
+        sim.run()  # a's queue drains and empties; a keeps rank 0
+        enqueue(c, "c1")
+        enqueue(b, "b1")
+        enqueue(c, "c2")
+        enqueue(a, "a2")
+        node.crash()
+        assert queues.clear() == 4
+        assert [e["item"] for e in node.trace.events("queue-dropped")] == [
+            "a2", "c1", "c2", "b1"
+        ]
+
     def test_restart_resumes_draining(self):
         sim, node, queues, sent = make_queues("fifo", rate=100.0)
         node.crash()
@@ -220,5 +253,6 @@ def test_pick_order_matches_the_full_scan(strategy, operations):
             queues.clear()
             legacy.clear()
         if strategy == "weighted_rr":
-            assert queues._deficit == legacy.deficit
+            credits = {t: lane.credit for t, lane in queues._lanes.items()}
+            assert credits == legacy.deficit
     assert sent == [pick for pick in picked if pick is not None]

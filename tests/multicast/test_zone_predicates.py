@@ -7,8 +7,14 @@ child zone before it can be forwarded to that zone."
 """
 
 
+import pytest
+
+import repro.astrolabe.aql as aql
 from repro.core.config import NewsWireConfig
 from repro.astrolabe.certificates import AggregationCertificate
+from repro.astrolabe.mib import Row
+from repro.multicast.messages import Envelope
+from repro.multicast.node import MulticastNode
 from repro.pubsub.engine import build_pubsub
 from repro.pubsub.subscription import Subscription
 
@@ -120,3 +126,40 @@ class TestZonePredicates:
         )
         deployment.sim.run_for(10)
         assert deployment.trace.count("deliver") == 64
+
+
+class TestPredicateErrors:
+    def test_evaluation_error_fails_open_and_is_counted(self):
+        deployment = build()
+        deployment.run_rounds(2)
+        deployment.agents[0].publish(
+            SUBJECT, {"h": 1}, publisher="p", zone_predicate="ABS(contacts) > 0"
+        )
+        deployment.sim.run_for(10)
+        assert deployment.trace.count("deliver") == 64
+        errors = deployment.trace.metrics.snapshot()["multicast.predicate_errors"]
+        assert errors > 0
+
+    def test_error_free_run_reports_no_error_counter(self):
+        deployment = build()
+        deployment.run_rounds(2)
+        deployment.agents[0].publish(
+            SUBJECT, {"h": 1}, publisher="p", zone_predicate="nmembers >= 1"
+        )
+        deployment.sim.run_for(10)
+        assert deployment.trace.count("deliver") == 64
+        assert "multicast.predicate_errors" not in deployment.trace.metrics.snapshot()
+
+    def test_non_aql_compile_failure_propagates(self, monkeypatch):
+        def broken(source):
+            raise RuntimeError("compiler bug")
+
+        monkeypatch.setattr(aql, "compile_predicate", broken)
+        monkeypatch.setattr(MulticastNode, "_predicate_cache", {})
+        node = build(num_nodes=4).agents[0]
+        envelope = Envelope(
+            item_key=1, payload=None, publisher="p", subject=SUBJECT,
+            zone_predicate="x = 1",
+        )
+        with pytest.raises(RuntimeError):
+            node._zone_predicate_allows(Row({"x": 1}, (1.0, "w"), "w"), envelope)

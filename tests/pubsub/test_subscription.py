@@ -35,6 +35,18 @@ class TestSubscription:
         with pytest.raises(SubscriptionError):
             Subscription("tech", "SUM(x) > 1")  # aggregates not allowed
 
+    def test_non_aql_compile_failure_propagates(self, monkeypatch):
+        """Only the AQL compiler's own errors become SubscriptionError; a
+        fault of any other kind is a bug and must surface as itself."""
+        import repro.pubsub.subscription as subscription_module
+
+        def broken(source):
+            raise RuntimeError("compiler bug")
+
+        monkeypatch.setattr(subscription_module, "compile_predicate", broken)
+        with pytest.raises(RuntimeError):
+            Subscription("tech", "x = 1")
+
     def test_predicate_error_on_item_means_no_match(self):
         """A poisoned item must not crash the subscriber (§6's final
         test runs on untrusted data)."""
