@@ -38,7 +38,6 @@ Package map
 """
 
 from repro.core import NewsWireConfig
-from repro.experiments.common import SystemSpec, build_system
 from repro.news import NewsItem, NewsWireSystem, build_newswire
 from repro.pubsub import Subscription
 from repro.runtime import Runtime, SimRuntime
@@ -61,9 +60,14 @@ __all__ = [
 
 def __getattr__(name: str):
     # Lazy, mirroring repro.runtime: importing repro must not pull in
-    # asyncio machinery for simulation-only workloads.
+    # asyncio machinery for simulation-only workloads, nor the
+    # experiment harness for code that only builds a system.
     if name == "AsyncioUdpRuntime":
         from repro.runtime.asyncio_udp import AsyncioUdpRuntime
 
         return AsyncioUdpRuntime
+    if name in ("SystemSpec", "build_system"):
+        from repro.experiments import common
+
+        return getattr(common, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

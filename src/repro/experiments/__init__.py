@@ -3,13 +3,18 @@
 Each module is runnable (``python -m repro.experiments.eN_...``) and
 exposes ``run_eN(*, ...) -> ENResult`` with a ``report()`` table;
 ``tests/integration/test_experiments.py`` asserts each claim's shape
-on the same drivers.  Importing
-this package registers every experiment in
-:mod:`repro.experiments.registry` (the ``@register`` decorators run),
-which is what drives ``python -m repro.experiments --list``.
+on the same drivers.  The experiment modules load on first use: a
+``run_eN`` / ``ENResult`` attribute imports its module, and the
+registry (:mod:`repro.experiments.registry`) imports them all before
+``python -m repro.experiments --list`` or any lookup answers, so
+importing :mod:`repro.experiments.common` pulls in none of them.
 """
 
+import re
+from importlib import import_module
+
 from repro.experiments.registry import (
+    EXPERIMENT_MODULES,
     ExperimentConfig,
     ExperimentSpec,
     RunOptions,
@@ -18,18 +23,6 @@ from repro.experiments.registry import (
     get_spec,
     register,
 )
-from repro.experiments.e1_redundancy import E1Result, run_e1
-from repro.experiments.e2_latency import E2Result, run_e2
-from repro.experiments.e3_publisher_load import E3Result, run_e3
-from repro.experiments.e4_overload import E4Result, run_e4
-from repro.experiments.e5_bloom import E5Result, run_e5, run_e5_analytic, run_e5_system
-from repro.experiments.e6_subscription import E6Result, run_e6
-from repro.experiments.e7_redundancy import E7Result, run_e7
-from repro.experiments.e8_branching import E8Result, run_e8
-from repro.experiments.e9_queues import E9Result, run_e9
-from repro.experiments.e10_scoped import E10Result, run_e10
-from repro.experiments.e11_partition import E11Result, run_e11
-from repro.experiments.e12_routing import E12Result, run_e12
 
 __all__ = [
     "ExperimentConfig",
@@ -66,3 +59,17 @@ __all__ = [
     "run_e11",
     "run_e12",
 ]
+
+
+#: Experiment number -> its module ("1" -> "e1_redundancy").
+_MODULE_OF = {module[1:].split("_")[0]: module for module in EXPERIMENT_MODULES}
+#: ``run_eN...`` and ``ENResult`` live in experiment N's module.
+_EXPERIMENT_EXPORT = re.compile(r"(?:run_e|E)(\d+)")
+
+
+def __getattr__(name: str):
+    match = _EXPERIMENT_EXPORT.match(name)
+    if match is None or name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f"{__name__}.{_MODULE_OF[match.group(1)]}")
+    return getattr(module, name)

@@ -27,6 +27,7 @@ sync with the experiments.
 
 from __future__ import annotations
 
+import importlib
 import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence
@@ -189,7 +190,7 @@ class ExperimentSpec:
         return self.runner(**self.build_kwargs(resolved))
 
 
-#: name -> spec, in registration (numeric) order.
+#: name -> spec; in :data:`EXPERIMENT_MODULES` order once loaded.
 REGISTRY: Dict[str, ExperimentSpec] = {}
 
 
@@ -243,9 +244,47 @@ def register(
     return decorator
 
 
+_loaded = False
+
+#: The experiment modules, in the order ``--list`` shows them.
+EXPERIMENT_MODULES = (
+    "e1_redundancy",
+    "e2_latency",
+    "e3_publisher_load",
+    "e4_overload",
+    "e5_bloom",
+    "e6_subscription",
+    "e7_redundancy",
+    "e8_branching",
+    "e9_queues",
+    "e10_scoped",
+    "e11_partition",
+    "e12_routing",
+)
+
+
 def _ensure_loaded() -> None:
-    """Importing the package runs every ``@register`` decorator."""
-    import repro.experiments  # noqa: F401  (side effect: registration)
+    """Import every experiment module, which runs its ``@register``.
+
+    Modules load on demand, so one imported early (a test importing
+    ``e12_routing`` first) registers early; the registry is then put
+    back in :data:`EXPERIMENT_MODULES` order.
+    """
+    global _loaded
+    if _loaded:
+        return
+    rank = {
+        f"repro.experiments.{name}": position
+        for position, name in enumerate(EXPERIMENT_MODULES)
+    }
+    for module in rank:
+        importlib.import_module(module)
+    specs = sorted(
+        REGISTRY.values(), key=lambda spec: rank.get(spec.runner.__module__, len(rank))
+    )
+    REGISTRY.clear()
+    REGISTRY.update((spec.name, spec) for spec in specs)
+    _loaded = True
 
 
 def get_spec(name: str) -> ExperimentSpec:

@@ -292,9 +292,13 @@ class PubSubNode(MulticastNode):
                 return True
             if metadata is None:
                 metadata = item_metadata(envelope)
-            if subscription.admits(metadata):
+            if subscription.admits(metadata, self._predicate_failed):
                 return True
         return False
+
+    def _predicate_failed(self) -> None:
+        # Registered on first use, so error-free runs carry no counter.
+        self.trace.metrics.counter("pubsub.predicate_errors").inc()
 
     def wants_repair(self, subject: str, hints: tuple) -> bool:
         wanted = self._repair_interest.get(subject)

@@ -70,15 +70,24 @@ class Subscription:
         """The authoritative leaf-level test (§6's "final test")."""
         return self.matches_subject(subject) and self.admits(metadata)
 
-    def admits(self, metadata: Mapping[str, object]) -> bool:
-        """The predicate half of :meth:`matches` (True without one)."""
+    def admits(
+        self,
+        metadata: Mapping[str, object],
+        on_error: Optional[Callable[[], None]] = None,
+    ) -> bool:
+        """The predicate half of :meth:`matches` (True without one).
+
+        A predicate that raises on an item does not match it, so a bad
+        item cannot take the subscriber down; ``on_error`` is called
+        for each such failure, so the caller can count it.
+        """
         if self._predicate is None:
             return True
         try:
             return self._predicate(metadata)
         except Exception:
-            # A predicate that errors on an item simply doesn't match
-            # it; a bad item must not take the subscriber down.
+            if on_error is not None:
+                on_error()
             return False
 
     def __eq__(self, other: object) -> bool:

@@ -415,6 +415,38 @@ class ColumnarNewsWire:
 # Builders
 # ----------------------------------------------------------------------
 
+def _install_population(
+    system: ColumnarNewsWire,
+    num_nodes: int,
+    subscriptions_for: Callable[[int], Sequence[Subscription]],
+) -> None:
+    """Install every node's time-zero interests, once per interest tuple.
+
+    Every node is still empty here, so the ``(sids, mask)`` pair a node
+    ends up with depends only on the subscriptions it is handed.  The
+    first node handed a tuple is installed in full, which is also where
+    predicates and wildcard subjects are refused; later nodes handed
+    the *same* tuple object take that node's pair.  Interest models
+    hand out one shared tuple per predicate-free draw, so 10^5 nodes
+    install a few hundred times.  The memo holds each tuple, so no id
+    is reused while it lives.
+    """
+    columns = system.columns
+    subjects, interest = columns.subjects, columns.interest
+    installed: Dict[int, Tuple[Sequence[Subscription], Tuple[int, ...], int]] = {}
+    for index in range(num_nodes):
+        subscriptions = subscriptions_for(index)
+        known = installed.get(id(subscriptions))
+        if known is not None:
+            subjects[index], interest[index] = known[1], known[2]
+            continue
+        system.install_subscriptions(index, subscriptions)
+        if type(subscriptions) is tuple:
+            installed[id(subscriptions)] = (
+                subscriptions, subjects[index], interest[index]
+            )
+
+
 def build_columnar(
     num_nodes: int,
     config: Optional[NewsWireConfig] = None,
@@ -455,8 +487,7 @@ def build_columnar(
     system = ColumnarNewsWire(columns, sim, trace, scheme, config, gossip, seed)
 
     if subscriptions_for is not None:
-        for index in range(num_nodes):
-            system.install_subscriptions(index, subscriptions_for(index))
+        _install_population(system, num_nodes, subscriptions_for)
     columns.build_aggregates()
     # Re-seed the root replicas now that aggregates include the
     # time-zero interests (the consistent snapshot _preseed hands out).

@@ -10,8 +10,11 @@ pruned close to the root (E5).
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
+from math import isfinite
 from typing import Dict, Sequence
 
 from repro.core.errors import ConfigurationError
@@ -52,6 +55,13 @@ class InterestModel:
         # large subscriptions_per_node / high skew.
         self._subject_list = list(self.subjects)
         self._cum_weights = list(accumulate(self._weights))
+        # The check random.choices made on every call, made once.
+        self._total = self._cum_weights[-1] + 0.0
+        if not (self._total > 0.0 and isfinite(self._total)):
+            raise ConfigurationError("subject weights must sum to a positive finite total")
+        #: Interests of every index below ``len(_prepared)`` (:meth:`prepare`).
+        self._prepared: list[tuple[Subscription, ...]] = []
+        #: Interests drawn on demand, beyond the prepared range.
         self._assignments: Dict[int, tuple[Subscription, ...]] = {}
         # Predicate-free interest sets, one shared tuple per distinct
         # subject order: subscriptions are immutable, and 10^5 nodes
@@ -59,74 +69,111 @@ class InterestModel:
         # Subscription per node per subject is 4 x 10^5 long-lived
         # objects for every full garbage collection to walk.
         self._shared: Dict[tuple[str, ...], tuple[Subscription, ...]] = {}
-        self._substreams: list[int] = []
+        #: num_nodes -> how many of those nodes hold each subject tuple.
+        self._tallies: Dict[int, Counter] = {}
 
     def prepare(self, num_nodes: int) -> None:
-        """Precompute the per-node substream ids for indices < ``num_nodes``.
+        """Draw the interests of every index below ``num_nodes`` now.
 
-        Population builders call this once so the per-node derivation
-        drops out of the hot setup loop; the table holds the *same*
-        substream ids :func:`repro.sim.rng.derive_substream` would
-        produce, so prepared and unprepared models draw identical
+        Population builders call this once, so the draw is one loop
+        that re-seeds a single generator per index with that index's
+        collision-free ``(seed, index)`` substream
+        (:func:`repro.sim.rng.substream_table`, the ids
+        :func:`repro.sim.rng.derive_substream` gives); seeding an
+        existing generator and building a new one give the same state.
+        Prepared and unprepared models therefore draw identical
         subscriptions (pinned in ``tests/scale/test_equivalence.py``).
         """
-        if num_nodes > len(self._substreams):
-            self._substreams = substream_table(self.seed, num_nodes)
+        prepared = self._prepared
+        if num_nodes <= len(prepared):
+            return
+        rng = random.Random()
+        reseed = rng.seed
+        draw = self._draw
+        append = prepared.append
+        for stream in substream_table(self.seed, num_nodes)[len(prepared):]:
+            reseed(stream)
+            append(draw(rng))
 
-    def _rng_for(self, index: int) -> random.Random:
-        # Collision-free (seed, index) substream: the historical
-        # ``(seed << 20) ^ index`` derivation collided for distinct
-        # pairs once index reached 2**20 — exactly the 10^5–10^6-node
-        # scale target — silently duplicating interest profiles.
-        table = self._substreams
-        if 0 <= index < len(table):
-            return random.Random(table[index])
-        return derive_rng(self.seed, index)
+    def _draw(self, rng: random.Random) -> tuple[Subscription, ...]:
+        """One subscriber's interests from its own seeded ``rng``.
+
+        ``subjects[bisect_right(cum, random() * total, 0, hi)]`` is the
+        body of ``rng.choices(subjects, cum_weights=cum, k=1)[0]``, so
+        the draws are the ones ``choices`` makes.
+        """
+        subjects = self._subject_list
+        cum = self._cum_weights
+        total = self._total
+        hi = len(subjects) - 1
+        draw = rng.random
+        count = min(self.subscriptions_per_node, len(subjects))
+        picked: list[str] = []
+        while len(picked) < count:
+            subject = subjects[bisect_right(cum, draw() * total, 0, hi)]
+            if subject not in picked:
+                picked.append(subject)
+        # The predicate coin flips are the last draws on the stream, and
+        # at probability zero none of them can come up.
+        if self.predicate_probability:
+            predicates = [
+                f"urgency <= {rng.randint(4, 7)}"
+                if draw() < self.predicate_probability
+                else None
+                for _ in picked
+            ]
+            if any(predicates):
+                return tuple(map(Subscription, picked, predicates))
+        key = tuple(picked)
+        result = self._shared.get(key)
+        if result is None:
+            result = self._shared[key] = tuple(map(Subscription, picked))
+        return result
 
     def subscriptions_for(self, index: int) -> tuple[Subscription, ...]:
         """Deterministic per-subscriber interests (cached)."""
-        cached = self._assignments.get(index)
-        if cached is not None:
-            return cached
-        rng = self._rng_for(index)
-        count = min(self.subscriptions_per_node, len(self.subjects))
-        picked: list[str] = []
-        while len(picked) < count:
-            subject = rng.choices(
-                self._subject_list, cum_weights=self._cum_weights, k=1
-            )[0]
-            if subject not in picked:
-                picked.append(subject)
-        predicates = [
-            f"urgency <= {rng.randint(4, 7)}"
-            if rng.random() < self.predicate_probability
-            else None
-            for _ in picked
-        ]
-        if any(predicates):
-            result = tuple(map(Subscription, picked, predicates))
-        else:
-            key = tuple(picked)
-            result = self._shared.get(key)
-            if result is None:
-                result = self._shared[key] = tuple(map(Subscription, picked))
-        self._assignments[index] = result
+        prepared = self._prepared
+        if 0 <= index < len(prepared):
+            return prepared[index]
+        result = self._assignments.get(index)
+        if result is None:
+            # Collision-free (seed, index) substream: the historical
+            # ``(seed << 20) ^ index`` derivation collided for distinct
+            # pairs once index reached 2**20 — exactly the 10^5–10^6-node
+            # scale target — silently duplicating interest profiles.
+            result = self._assignments[index] = self._draw(
+                derive_rng(self.seed, index)
+            )
         return result
+
+    def _tally(self, num_nodes: int) -> Counter:
+        """How many of ``num_nodes`` nodes hold each subject tuple.
+
+        Computed once per ``num_nodes``: nodes of one interest class
+        share one tuple, so the tally has a handful of keys.
+        """
+        tally = self._tallies.get(num_nodes)
+        if tally is None:
+            held = list(map(self.subscriptions_for, range(num_nodes)))
+            distinct = {id(subscriptions): subscriptions for subscriptions in held}
+            tally = Counter()
+            for key, nodes in Counter(map(id, held)).items():
+                tally[tuple(s.subject for s in distinct[key])] += nodes
+            self._tallies[num_nodes] = tally
+        return tally
 
     def subscriber_counts(self, num_nodes: int) -> Dict[str, int]:
         """How many of ``num_nodes`` subscribe to each subject."""
         counts: Dict[str, int] = {subject: 0 for subject in self.subjects}
-        for index in range(num_nodes):
-            for subscription in self.subscriptions_for(index):
-                counts[subscription.subject] += 1
+        for subjects, nodes in self._tally(num_nodes).items():
+            for subject in subjects:
+                counts[subject] += nodes
         return counts
 
     def expected_receivers(self, num_nodes: int, subject: str) -> int:
         """Subscribers whose *subject* matches (ignores predicates)."""
         return sum(
-            1
-            for index in range(num_nodes)
-            if any(
-                s.subject == subject for s in self.subscriptions_for(index)
-            )
+            nodes
+            for subjects, nodes in self._tally(num_nodes).items()
+            if subject in subjects
         )

@@ -550,3 +550,29 @@ class TestImportFootprint:
             assert not [name for name in ours if name.startswith(package)]
         assert "multiprocessing" not in loaded
         assert len(ours) <= 86, ours
+
+    def test_experiment_modules_load_on_demand(self):
+        """``import repro`` and ``import repro.experiments.common`` load
+        no experiment module and no baseline; a ``run_eN`` attribute or
+        a registry lookup loads them."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        probe = (
+            "import sys, repro, repro.experiments.common\n"
+            "def loaded():\n"
+            "    return sorted(name for name in sys.modules\n"
+            "                  if name.startswith(('repro.experiments.e', 'repro.baselines')))\n"
+            "print(loaded())\n"
+            "from repro.experiments import run_e3\n"
+            "print(loaded())\n"
+            "from repro.experiments.registry import experiment_names\n"
+            "print(experiment_names())\n"
+        )
+        lines = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, check=True, timeout=120,
+        ).stdout.splitlines()
+        assert lines[0] == "[]"
+        assert "'repro.experiments.e3_publisher_load'" in lines[1]
+        assert "e1_redundancy" not in lines[1]
+        assert lines[2] == str([f"e{number}" for number in range(1, 13)])

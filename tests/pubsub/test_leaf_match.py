@@ -114,3 +114,31 @@ def test_wants_repair_matches_the_uncached_rule(operations):
             assert node.wants_repair(subject, ()) == any(
                 s.matches_subject(subject) for s in node.subscriptions
             )
+
+
+def _envelope(subject):
+    return Envelope(
+        item_key=1, payload={"body": "x"}, publisher="p1", subject=subject, urgency=2
+    )
+
+
+def test_a_raising_predicate_does_not_match_and_is_counted():
+    node = fresh_node()
+    node.subscribe(Subscription("a", "ABS(publisher) > 1"))
+    assert not node.accept(_envelope("a"))
+    assert not node.accept(_envelope("a"))
+    # A subject the subscription does not match never runs the predicate.
+    assert not node.accept(_envelope("b"))
+    assert node.trace.metrics.snapshot()["pubsub.predicate_errors"] == 2
+    # A later subscription that admits the item still delivers it.
+    node.subscribe(Subscription("a", "urgency < 3"))
+    assert node.accept(_envelope("a"))
+
+
+def test_error_free_leaf_matching_reports_no_error_counter():
+    node = fresh_node()
+    node.subscribe(Subscription("a", "urgency < 3"))
+    node.subscribe(Subscription("b", "urgency > 3"))
+    assert node.accept(_envelope("a"))
+    assert not node.accept(_envelope("b"))
+    assert "pubsub.predicate_errors" not in node.trace.metrics.snapshot()

@@ -226,3 +226,94 @@ class TestInterestClassesDifferential:
         assert columns.agg_subs == expected.agg_subs
         assert columns.agg_count == expected.agg_count
         assert {subject: sid for subject, (sid, _) in system._subjects.items()} == sids
+
+
+class TestPopulationInstall:
+    """The build installs each shared interest tuple once and points
+    later holders at the first holder's pair; the result must be what
+    installing every node on its own gives."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_node_install(self, data):
+        num_nodes = data.draw(st.integers(1, 60), label="num_nodes")
+        pool = data.draw(
+            st.lists(
+                st.lists(st.sampled_from(SUBJECTS), max_size=4).map(
+                    lambda subjects: tuple(map(Subscription, subjects))
+                ),
+                min_size=1,
+                max_size=6,
+            ),
+            label="pool",
+        )
+        # Node -> a shared tuple from the pool, or (as a list) its own copy.
+        picks = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, len(pool) - 1), st.booleans()),
+                min_size=num_nodes,
+                max_size=num_nodes,
+            ),
+            label="picks",
+        )
+
+        def subscriptions_for(index):
+            slot, shared = picks[index]
+            return pool[slot] if shared else list(pool[slot])
+
+        config = NewsWireConfig(branching_factor=4)
+        built = build_columnar(
+            num_nodes, config, subscriptions_for=subscriptions_for, start=False
+        )
+        reference = build_columnar(num_nodes, config, start=False)
+        for index in range(num_nodes):
+            reference.install_subscriptions(index, subscriptions_for(index))
+        reference.columns.build_aggregates()
+        assert built.columns.subjects == reference.columns.subjects
+        assert built.columns.interest == reference.columns.interest
+        assert built.columns.agg_subs == reference.columns.agg_subs
+        assert built._subjects == reference._subjects
+
+    def test_a_reused_list_is_installed_per_node(self):
+        # Only tuples are shared by identity: a caller that refills one
+        # list per node must still get each node's own interests.
+        held = []
+
+        def subscriptions_for(index):
+            held[:] = [Subscription(SUBJECTS[index % len(SUBJECTS)])]
+            return held
+
+        system = build_columnar(10, subscriptions_for=subscriptions_for, start=False)
+        sids = {subject: sid for subject, (sid, _) in system._subjects.items()}
+        assert system.columns.subjects == [
+            (sids[SUBJECTS[index % len(SUBJECTS)]],) for index in range(10)
+        ]
+
+    @pytest.mark.parametrize(
+        "subscription, feature", TestUnsupportedSubscriptions.CASES
+    )
+    def test_build_refuses_a_shared_tuple_after_supported_nodes(
+        self, subscription, feature
+    ):
+        supported = (Subscription("s"),)
+        unsupported = (Subscription("t"), subscription)
+
+        def subscriptions_for(index):
+            return unsupported if index >= 5 else supported
+
+        with pytest.raises(ConfigurationError, match=f"{feature}.*backend='object'"):
+            build_columnar(8, subscriptions_for=subscriptions_for)
+
+    def test_build_refuses_a_predicate_drawn_by_an_interest_model(self):
+        model = InterestModel(
+            [f"s/{k}" for k in range(4)],
+            subscriptions_per_node=2,
+            predicate_probability=0.3,
+            seed=2,
+        )
+        model.prepare(50)
+        assert any(
+            s.predicate_source for i in range(50) for s in model.subscriptions_for(i)
+        )
+        with pytest.raises(ConfigurationError, match="subscription predicates"):
+            build_columnar(50, subscriptions_for=model.subscriptions_for)

@@ -1,8 +1,14 @@
 """Tests for subscriber interest models."""
 
+import random
+from itertools import accumulate
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import ConfigurationError
+from repro.pubsub.subscription import Subscription
+from repro.sim.rng import derive_substream
 from repro.workloads.populations import InterestModel, zipf_weights
 
 SUBJECTS = [f"s{i}" for i in range(10)]
@@ -90,6 +96,12 @@ class TestInterestModel:
         with pytest.raises(ConfigurationError):
             InterestModel(SUBJECTS, predicate_probability=2.0)
 
+    def test_weights_without_a_finite_total_are_refused_at_construction(self):
+        # A NaN exponent passes the sign check but makes every weight
+        # past the first NaN; random.choices refused it on each draw.
+        with pytest.raises(ConfigurationError, match="positive finite total"):
+            InterestModel(SUBJECTS, zipf_exponent=float("nan"))
+
     def test_no_stream_collision_across_shift_boundary(self):
         # Regression: the old per-node derivation (seed << 20) ^ index
         # made (seed=0, index=2**20) and (seed=1, index=0) share a
@@ -121,3 +133,90 @@ class TestInterestModel:
                 draws.add(tuple(model.subscriptions_for(index)))
                 pairs += 1
         assert len(draws) == pairs
+
+
+def reference_draw(model, index):
+    """The per-node rule as ``random.choices`` states it: a fresh
+    generator on the ``(seed, index)`` substream per node, one
+    ``choices`` call per subject draw, then one coin flip per subject."""
+    rng = random.Random(derive_substream(model.seed, index))
+    subjects = list(model.subjects)
+    cum_weights = list(accumulate(zipf_weights(len(subjects), model.zipf_exponent)))
+    count = min(model.subscriptions_per_node, len(subjects))
+    picked = []
+    while len(picked) < count:
+        subject = rng.choices(subjects, cum_weights=cum_weights, k=1)[0]
+        if subject not in picked:
+            picked.append(subject)
+    predicates = [
+        f"urgency <= {rng.randint(4, 7)}"
+        if rng.random() < model.predicate_probability
+        else None
+        for _ in picked
+    ]
+    return tuple(map(Subscription, picked, predicates))
+
+
+models = st.builds(
+    InterestModel,
+    subjects=st.integers(1, 12).map(lambda n: [f"s{i}" for i in range(n)]),
+    subscriptions_per_node=st.integers(1, 5),
+    zipf_exponent=st.floats(0.0, 2.0),
+    predicate_probability=st.sampled_from([0.0, 0.3, 1.0]),
+    seed=st.integers(0, 2**64),
+)
+
+
+class TestDrawDifferential:
+    @given(
+        model=models,
+        prepared=st.integers(0, 40),
+        indices=st.lists(st.integers(0, 60), max_size=20),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_choices_rule(self, model, prepared, indices):
+        # Unprepared draws first, then prepared ones, then the indices
+        # beyond the prepared range.
+        for index in indices:
+            assert model.subscriptions_for(index) == reference_draw(model, index)
+        model.prepare(prepared)
+        for index in list(range(prepared)) + indices + [2**20 + prepared]:
+            assert model.subscriptions_for(index) == reference_draw(model, index)
+
+    @given(model=models)
+    @settings(max_examples=50, deadline=None)
+    def test_prepare_extends_without_redrawing(self, model):
+        model.prepare(10)
+        head = [model.subscriptions_for(index) for index in range(10)]
+        model.prepare(25)
+        model.prepare(5)
+        assert [model.subscriptions_for(index) for index in range(10)] == head
+        for index in range(25):
+            assert model.subscriptions_for(index) == reference_draw(model, index)
+
+    def test_equal_draws_share_one_tuple_prepared_or_not(self):
+        prepared = InterestModel(SUBJECTS[:3], subscriptions_per_node=2, seed=4)
+        prepared.prepare(150)
+        drawn = [prepared.subscriptions_for(index) for index in range(300)]
+        by_value = {}
+        for subscriptions in drawn:
+            assert by_value.setdefault(subscriptions, subscriptions) is subscriptions
+        assert len(by_value) <= 6
+
+
+class TestReceiverCounts:
+    @given(model=models, sizes=st.lists(st.integers(0, 80), min_size=1, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_match_the_per_node_scan(self, model, sizes):
+        for num_nodes in sizes:
+            held = [model.subscriptions_for(index) for index in range(num_nodes)]
+            counts = {subject: 0 for subject in model.subjects}
+            for subscriptions in held:
+                for subscription in subscriptions:
+                    counts[subscription.subject] += 1
+            assert model.subscriber_counts(num_nodes) == counts
+            for subject in list(model.subjects) + ["absent"]:
+                assert model.expected_receivers(num_nodes, subject) == sum(
+                    any(s.subject == subject for s in subscriptions)
+                    for subscriptions in held
+                )
