@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from math import isfinite
@@ -69,8 +68,6 @@ class InterestModel:
         # Subscription per node per subject is 4 x 10^5 long-lived
         # objects for every full garbage collection to walk.
         self._shared: Dict[tuple[str, ...], tuple[Subscription, ...]] = {}
-        #: num_nodes -> how many of those nodes hold each subject tuple.
-        self._tallies: Dict[int, Counter] = {}
 
     def prepare(self, num_nodes: int) -> None:
         """Draw the interests of every index below ``num_nodes`` now.
@@ -146,34 +143,20 @@ class InterestModel:
             )
         return result
 
-    def _tally(self, num_nodes: int) -> Counter:
-        """How many of ``num_nodes`` nodes hold each subject tuple.
-
-        Computed once per ``num_nodes``: nodes of one interest class
-        share one tuple, so the tally has a handful of keys.
-        """
-        tally = self._tallies.get(num_nodes)
-        if tally is None:
-            held = list(map(self.subscriptions_for, range(num_nodes)))
-            distinct = {id(subscriptions): subscriptions for subscriptions in held}
-            tally = Counter()
-            for key, nodes in Counter(map(id, held)).items():
-                tally[tuple(s.subject for s in distinct[key])] += nodes
-            self._tallies[num_nodes] = tally
-        return tally
-
     def subscriber_counts(self, num_nodes: int) -> Dict[str, int]:
         """How many of ``num_nodes`` subscribe to each subject."""
         counts: Dict[str, int] = {subject: 0 for subject in self.subjects}
-        for subjects, nodes in self._tally(num_nodes).items():
-            for subject in subjects:
-                counts[subject] += nodes
+        for index in range(num_nodes):
+            for subscription in self.subscriptions_for(index):
+                counts[subscription.subject] += 1
         return counts
 
     def expected_receivers(self, num_nodes: int, subject: str) -> int:
         """Subscribers whose *subject* matches (ignores predicates)."""
         return sum(
-            nodes
-            for subjects, nodes in self._tally(num_nodes).items()
-            if subject in subjects
+            1
+            for index in range(num_nodes)
+            if any(
+                s.subject == subject for s in self.subscriptions_for(index)
+            )
         )

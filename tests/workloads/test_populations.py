@@ -203,20 +203,3 @@ class TestDrawDifferential:
             assert by_value.setdefault(subscriptions, subscriptions) is subscriptions
         assert len(by_value) <= 6
 
-
-class TestReceiverCounts:
-    @given(model=models, sizes=st.lists(st.integers(0, 80), min_size=1, max_size=4))
-    @settings(max_examples=100, deadline=None)
-    def test_match_the_per_node_scan(self, model, sizes):
-        for num_nodes in sizes:
-            held = [model.subscriptions_for(index) for index in range(num_nodes)]
-            counts = {subject: 0 for subject in model.subjects}
-            for subscriptions in held:
-                for subscription in subscriptions:
-                    counts[subscription.subject] += 1
-            assert model.subscriber_counts(num_nodes) == counts
-            for subject in list(model.subjects) + ["absent"]:
-                assert model.expected_receivers(num_nodes, subject) == sum(
-                    any(s.subject == subject for s in subscriptions)
-                    for subscriptions in held
-                )
