@@ -167,24 +167,26 @@ class ItemId:
     revision: int = 0
 
     def __post_init__(self) -> None:
-        # Both caches live outside the dataclass fields, so equality,
+        # The caches live outside the dataclass fields, so equality,
         # ordering, ``repr`` and ``asdict`` are unchanged.  The hash is
         # the value the dataclass itself would compute (set and
         # frozenset iteration orders stay the same); the string is
-        # shared by every trace field naming this item.
+        # shared by every trace field naming this item, and the story
+        # key by every cache holding it.
         object.__setattr__(
             self, "_hash", hash((self.publisher, self.serial, self.revision))
         )
         object.__setattr__(
             self, "_str", f"{self.publisher}:{self.serial}.r{self.revision}"
         )
+        object.__setattr__(self, "_story_key", (self.publisher, self.serial))
 
     def __hash__(self) -> int:
         return self._hash
 
     def __reduce__(self) -> tuple:
         # Like ZonePath: the cached hash is process-local, so unpickling
-        # rebuilds both caches through the constructor.
+        # rebuilds the caches through the constructor.
         return (ItemId, (self.publisher, self.serial, self.revision))
 
     def with_revision(self, revision: int) -> "ItemId":
@@ -193,7 +195,7 @@ class ItemId:
     @property
     def story_key(self) -> tuple[str, int]:
         """Identity of the story across revisions."""
-        return (self.publisher, self.serial)
+        return self._story_key
 
     def __str__(self) -> str:
         return self._str

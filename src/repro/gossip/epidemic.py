@@ -11,7 +11,7 @@ transport and timing live in :mod:`repro.multicast.reliability`.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from itertools import islice
 from typing import Generic, Hashable, Iterable, Optional, TypeVar
 
 ItemKeyT = TypeVar("ItemKeyT", bound=Hashable)
@@ -29,7 +29,8 @@ class RumorBuffer(Generic[ItemKeyT, PayloadT]):
 
     def __init__(self, capacity: int = 256):
         self.capacity = capacity
-        self._items: "OrderedDict[ItemKeyT, PayloadT]" = OrderedDict()
+        #: Insertion-ordered, oldest first.
+        self._items: dict[ItemKeyT, PayloadT] = {}
         #: Bumped on every change to the contents, so a reader can keep
         #: something derived from them (a digest) until it moves.
         self.generation = 0
@@ -38,10 +39,15 @@ class RumorBuffer(Generic[ItemKeyT, PayloadT]):
         """Record an item; returns False when it was already known."""
         if key in self._items:
             return False
-        self._items[key] = payload
+        items = self._items
+        items[key] = payload
         self.generation += 1
-        while len(self._items) > self.capacity:
-            self._items.popitem(last=False)
+        excess = len(items) - self.capacity
+        if excess > 0:
+            # One iterator for every victim: each fresh ``iter`` would
+            # rescan the slots the previous deletions left empty.
+            for victim in list(islice(items, excess)):
+                del items[victim]
         return True
 
     def __contains__(self, key: ItemKeyT) -> bool:

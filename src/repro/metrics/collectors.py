@@ -55,9 +55,7 @@ def collect_delivery_stats(trace: TraceLog, kind: str = "deliver") -> DeliverySt
         latencies: list[float] = []
         per_item: Dict[str, int] = {}
         per_node: Dict[str, int] = {}
-        for event in memory.events:
-            if event.kind != kind:
-                continue
+        for event in trace.events(kind):
             latency = event.get("latency")
             if latency is not None:
                 latencies.append(latency)

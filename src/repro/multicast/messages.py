@@ -44,6 +44,25 @@ class Envelope:
     scope: ZonePath = ZonePath()
     zone_predicate: Optional[str] = None
 
+    @property
+    def repair_entry(self) -> tuple:
+        """``(item_key, subject, hints, scope)``, as a repair digest
+        lists this envelope: built once, so every node holding the
+        envelope shares it."""
+        entry = self.__dict__.get("_repair_entry")
+        if entry is None:
+            entry = (self.item_key, self.subject, self.hints, self.scope)
+            object.__setattr__(self, "_repair_entry", entry)
+        return entry
+
+    def __getstate__(self) -> dict:
+        # The cached entry stays off the wire.
+        state = self.__dict__
+        if "_repair_entry" in state:
+            state = dict(state)
+            del state["_repair_entry"]
+        return state
+
 
 @dataclass
 class ForwardMsg:

@@ -406,10 +406,8 @@ class MulticastNode(AstrolabeAgent):
         if self._digest_generation != self.delivered.generation:
             self._digest_generation = self.delivered.generation
             self._digest_entries = tuple(
-                (key, env.subject, env.hints, env.scope)
-                for key, env in (
-                    (k, self.delivered.get(k)) for k in self.delivered.digest()
-                )
+                env.repair_entry
+                for env in map(self.delivered.get, self.delivered.digest())
                 if env is not None
             )
         entries = self._digest_entries

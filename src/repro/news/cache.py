@@ -19,8 +19,8 @@ Responsibilities implemented here:
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import islice, takewhile
 from typing import Iterator, Optional
 
 from repro.core.config import CacheConfig
@@ -43,7 +43,7 @@ class CacheStats:
         return self.evicted_capacity + self.evicted_age
 
 
-@dataclass
+@dataclass(slots=True)
 class _CachedItem:
     item: NewsItem
     received_at: float
@@ -56,8 +56,8 @@ class MessageCache:
         self.config = config if config is not None else CacheConfig()
         self.config.validate()
         self.stats = CacheStats()
-        # Insertion-ordered: oldest first, so GC pops from the front.
-        self._entries: "OrderedDict[tuple[str, int], _CachedItem]" = OrderedDict()
+        # Insertion-ordered: oldest first, so GC drops from the front.
+        self._entries: dict[tuple[str, int], _CachedItem] = {}
         self._by_id: dict[ItemId, tuple[str, int]] = {}
 
     # -- insertion -----------------------------------------------------------
@@ -77,9 +77,13 @@ class MessageCache:
             del self._by_id[cached.item.item_id]
             del self._entries[key]
             self.stats.fused += 1
-        elif cached is not None and cached.item.item_id == item.item_id:
-            self.stats.duplicates += 1
-            return False
+        elif cached is not None:
+            if cached.item.item_id == item.item_id:
+                self.stats.duplicates += 1
+                return False
+            # Without fusion the new revision replaces the entry in place;
+            # the replaced revision is no longer cached.
+            del self._by_id[cached.item.item_id]
         self._entries[key] = _CachedItem(item, now)
         self._by_id[item.item_id] = key
         self.stats.inserted += 1
@@ -87,24 +91,28 @@ class MessageCache:
         return True
 
     def _evict_capacity(self) -> None:
-        while len(self._entries) > self.config.capacity:
-            key, cached = self._entries.popitem(last=False)
-            del self._by_id[cached.item.item_id]
-            self.stats.evicted_capacity += 1
+        excess = len(self._entries) - self.config.capacity
+        if excess > 0:
+            self._drop(list(islice(self._entries.items(), excess)))
+            self.stats.evicted_capacity += excess
 
     def gc(self, now: float) -> int:
         """Drop items older than ``max_age`` (by receive time)."""
         cutoff = now - self.config.max_age
-        dropped = 0
-        while self._entries:
-            key, cached = next(iter(self._entries.items()))
-            if cached.received_at >= cutoff:
-                break
+        expired = list(
+            takewhile(lambda entry: entry[1].received_at < cutoff, self._entries.items())
+        )
+        self._drop(expired)
+        self.stats.evicted_age += len(expired)
+        return len(expired)
+
+    def _drop(self, entries: list[tuple[tuple[str, int], _CachedItem]]) -> None:
+        """Delete oldest-first ``entries``, collected by one walk: a fresh
+        iterator per victim would rescan the slots earlier deletions
+        left empty."""
+        for key, cached in entries:
             del self._entries[key]
             del self._by_id[cached.item.item_id]
-            self.stats.evicted_age += 1
-            dropped += 1
-        return dropped
 
     # -- queries -----------------------------------------------------------
 

@@ -24,9 +24,11 @@ Sinks without it are fed the batch one ``emit`` at a time.
 from __future__ import annotations
 
 import json
+from array import array
+from collections.abc import Sequence
 from dataclasses import FrozenInstanceError
 from pathlib import Path
-from typing import Any, Dict, IO, Mapping, Optional, Protocol, Sequence, Tuple, Union
+from typing import Any, Dict, IO, Iterator, Mapping, Optional, Protocol, Tuple, Union
 
 from repro.obs.metrics import DEFAULT_BUCKETS, HistogramData
 
@@ -37,9 +39,9 @@ TraceBatch = Sequence[Tuple[float, Mapping[str, Any]]]
 class TraceEvent:
     """One recorded milestone: ``time``, ``kind`` and its ``fields``.
 
-    Stored compactly, because a :class:`MemorySink` keeps every one: the
-    field names and the field values sit in two parallel tuples, and a
-    sink hands every event of one field shape the same names tuple.
+    The field names and the field values sit in two parallel tuples; a
+    :class:`MemorySink` builds events on read from its columns and hands
+    every event of one field shape the same names tuple.
     ``fields`` rebuilds the ``(name, value)`` pairs on demand.  Events
     are immutable; equality, hashing, ``repr`` and pickling go through
     ``(time, kind, fields)``.
@@ -136,47 +138,152 @@ class TraceSink(Protocol):
 class MemorySink:
     """Retains every event — the exact-answers sink.
 
-    Memory grows linearly with recorded events, which is what caps the
-    population sizes the append-everything design could reach; use
-    :class:`StreamingSink` when the retained list would not fit.
+    Events are kept as columns, not as objects: per event its time (an
+    ``array('d')``), its shape id and where its values start (two
+    ``array('I')``), and every event's field values back to back in one
+    flat list.  A *shape* is one ``(kind, field names)`` pair, interned
+    once; the names tuple is shared by every event of the shape.  A
+    time that is not a float (an int clock) is kept aside by event
+    index, so it reads back with its own type.
+
+    :attr:`events` is a read-only sequence view that builds each
+    :class:`TraceEvent` on read.  Memory grows linearly with recorded
+    events, which is what caps the population sizes the
+    append-everything design could reach; use :class:`StreamingSink`
+    when the retained columns would not fit.
     """
 
     def __init__(self) -> None:
-        self.events: list[TraceEvent] = []
-        #: One names tuple per field shape, shared by every event of it.
-        self._shapes: Dict[tuple, tuple] = {}
+        self._times = array("d")
+        self._shape_ids = array("I")
+        self._starts = array("I")
+        self._values: list = []
+        #: Non-float times by event index.
+        self._odd_times: Dict[int, Any] = {}
+        #: ``(kind, names, width)`` per shape id.
+        self._shapes: list[tuple[str, tuple, int]] = []
+        #: Shape id per ``(kind, *names)``.
+        self._shape_of: Dict[tuple, int] = {}
 
-    def _shape(self, fields: Mapping[str, Any]) -> tuple:
-        keys = tuple(fields)
-        return self._shapes.setdefault(keys, keys)
+    def _intern(self, key: tuple) -> int:
+        shape = len(self._shapes)
+        names = key[1:]
+        self._shapes.append((key[0], names, len(names)))
+        self._shape_of[key] = shape
+        return shape
 
     def emit(self, time: float, kind: str, fields: Mapping[str, Any]) -> None:
-        self.events.append(
-            _event(time, kind, self._shape(fields), tuple(fields.values()))
-        )
+        self.emit_many(kind, ((time, fields),))
 
     def emit_many(self, kind: str, events: TraceBatch) -> None:
-        shape = self._shape
-        self.events.extend(
-            _event(time, kind, shape(fields), tuple(fields.values()))
-            for time, fields in events
-        )
+        shape_of = self._shape_of
+        times = self._times
+        odd_times = self._odd_times
+        shape_ids = self._shape_ids
+        starts = self._starts
+        values = self._values
+        for time, fields in events:
+            key = (kind, *fields)
+            shape = shape_of.get(key)
+            if shape is None:
+                shape = self._intern(key)
+            if time.__class__ is not float:
+                odd_times[len(times)] = time
+                time = 0.0
+            times.append(time)
+            shape_ids.append(shape)
+            starts.append(len(values))
+            values.extend(fields.values())
+
+    @property
+    def events(self) -> "EventView":
+        """The retained events, oldest first, as a read-only sequence."""
+        return EventView(self)
+
+    def _event(self, index: int) -> TraceEvent:
+        kind, names, width = self._shapes[self._shape_ids[index]]
+        start = self._starts[index]
+        time = self._odd_times.get(index, self._times[index])
+        return _event(time, kind, names, tuple(self._values[start : start + width]))
+
+    def iter_events(self, kind: Optional[str] = None) -> Iterator[TraceEvent]:
+        """Retained events in order, or those of one ``kind``: the
+        filter reads shape ids and builds only the events it yields."""
+        shapes = self._shapes
+        wanted: set = set()
+        known = 0
+        for index, shape in enumerate(self._shape_ids):
+            if kind is not None:
+                if shape >= known:  # a shape interned since the last look
+                    wanted.update(
+                        s for s in range(known, len(shapes)) if shapes[s][0] == kind
+                    )
+                    known = len(shapes)
+                if shape not in wanted:
+                    continue
+            yield self._event(index)
 
     @property
     def retained_events(self) -> int:
-        return len(self.events)
+        return len(self._times)
 
     def clear(self) -> None:
-        self.events.clear()
+        del self._times[:]
+        del self._shape_ids[:]
+        del self._starts[:]
+        self._values.clear()
+        self._odd_times.clear()
 
     def close(self) -> None:
         pass
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._times)
 
     def __repr__(self) -> str:
-        return f"MemorySink({len(self.events)} events)"
+        return f"MemorySink({len(self._times)} events)"
+
+
+class EventView(Sequence):
+    """Read-only sequence over a :class:`MemorySink`'s events.
+
+    Answers ``len``, truth, indexing (negative too), slicing (a list),
+    iteration and ``==`` against a list or another view as the list of
+    :class:`TraceEvent` it replaces did; each event is built on read.
+    """
+
+    __slots__ = ("_sink",)
+
+    def __init__(self, sink: MemorySink):
+        self._sink = sink
+
+    def __len__(self) -> int:
+        return len(self._sink._times)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._sink._event(i) for i in range(*index.indices(len(self)))]
+        size = len(self)
+        if index < 0:
+            index += size
+        if not 0 <= index < size:
+            raise IndexError("event index out of range")
+        return self._sink._event(index)
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        return self._sink.iter_events()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (EventView, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine is theirs or mine == theirs for mine, theirs in zip(self, other)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 class StreamingSink:

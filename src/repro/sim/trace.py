@@ -160,10 +160,9 @@ class TraceLog:
         (see :mod:`repro.metrics.collectors`).
         """
         memory = self._memory
-        events = memory.events if memory is not None else _EMPTY
-        if kind is None:
-            return iter(events)
-        return (event for event in events if event.kind == kind)
+        if memory is None:
+            return iter(_EMPTY)
+        return memory.iter_events(kind)
 
     def count(self, kind: str) -> int:
         """How many times ``kind`` was recorded (even if not retained)."""
@@ -187,7 +186,7 @@ class TraceLog:
 
     def __len__(self) -> int:
         memory = self._memory
-        return len(memory.events) if memory is not None else 0
+        return len(memory) if memory is not None else 0
 
     def __repr__(self) -> str:
         summary = ", ".join(

@@ -1,5 +1,10 @@
 """Tests for the bounded rumor buffer."""
 
+from collections import OrderedDict
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.gossip.epidemic import RumorBuffer
 
 
@@ -61,3 +66,60 @@ class TestRumorBuffer:
         buffer.add("b", 2)
         buffer.add("c", 3)  # evicts "a"
         assert buffer.generation == start + 3
+
+
+class LegacyRumorBuffer:
+    """The ``OrderedDict`` buffer the plain dict replaced, kept verbatim."""
+
+    def __init__(self, capacity: int = 256):
+        self.capacity = capacity
+        self._items = OrderedDict()
+        self.generation = 0
+
+    def add(self, key, payload) -> bool:
+        if key in self._items:
+            return False
+        self._items[key] = payload
+        self.generation += 1
+        while len(self._items) > self.capacity:
+            self._items.popitem(last=False)
+        return True
+
+    def get(self, key):
+        return self._items.get(key)
+
+    def digest(self):
+        return frozenset(self._items)
+
+    def missing_from(self, remote_digest):
+        return [key for key in remote_digest if key not in self._items]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.lists(
+        st.one_of(
+            st.tuples(st.just("add"), st.integers(0, 12), st.integers()),
+            st.tuples(st.just("shrink"), st.integers(1, 6)),
+        ),
+        max_size=60,
+    ),
+)
+def test_matches_the_ordered_dict_buffer(capacity, ops):
+    buffer, legacy = RumorBuffer(capacity), LegacyRumorBuffer(capacity)
+    for op in ops:
+        if op[0] == "add":
+            _, key, payload = op
+            assert buffer.add(key, payload) == legacy.add(key, payload)
+        else:
+            # A lowered capacity evicts several entries on the next add.
+            buffer.capacity = legacy.capacity = op[1]
+        assert list(buffer._items.items()) == list(legacy._items.items())
+        assert buffer.digest() == legacy.digest()
+        assert list(buffer.digest()) == list(legacy.digest())
+        assert buffer.generation == legacy.generation
+        assert len(buffer) == len(legacy._items)
+        probe = list(range(13))
+        assert buffer.missing_from(probe) == legacy.missing_from(probe)
+        assert [buffer.get(k) for k in probe] == [legacy.get(k) for k in probe]

@@ -1,11 +1,16 @@
 """Tests for the end-system message cache (§9)."""
 
+from collections import OrderedDict
+from dataclasses import dataclass
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import CacheConfig
 from repro.core.errors import CacheError
 from repro.core.identifiers import ItemId
-from repro.news.cache import MessageCache
+from repro.news.cache import CacheStats, MessageCache
 from repro.news.item import NewsItem
 
 
@@ -58,6 +63,22 @@ class TestInsertion:
         # Without fusion the new revision replaces by story key anyway
         # (one entry per story), but stats register no fuse.
         assert cache.stats.fused == 0
+
+    def test_replaced_revision_is_gone_without_fusion(self):
+        """Regression: the replaced id used to stay in the id index, so
+        ``get`` answered it with the new revision and, once the entry
+        was evicted, ``in`` still said yes and ``get`` raised."""
+        cache = MessageCache(CacheConfig(fuse_revisions=False, capacity=1))
+        old, new = item(1, 0), item(1, 1)
+        cache.insert(old, 0.0)
+        assert cache.insert(new, 1.0)
+        assert old.item_id not in cache
+        assert cache.get(old.item_id) is None
+        assert cache.get(new.item_id) == new
+        assert cache.insert(item(2), 2.0)  # evicts the story
+        assert old.item_id not in cache and new.item_id not in cache
+        assert cache.get(old.item_id) is None
+        assert cache.get(new.item_id) is None
 
     def test_different_publishers_do_not_collide(self):
         cache = MessageCache()
@@ -154,3 +175,112 @@ class TestCompactAggregation:
 
     def test_subject_digest(self):
         assert self._filled().subject_digest() == {"p/a": 2, "p/b": 1}
+
+
+@dataclass
+class _LegacyCachedItem:
+    item: NewsItem
+    received_at: float
+
+
+class LegacyMessageCache:
+    """The ``OrderedDict`` cache the plain dict replaced, kept verbatim
+    except for one line: a revision replaced without fusion leaves the
+    id index, the regression fixed alongside."""
+
+    def __init__(self, config):
+        self.config = config
+        self.stats = CacheStats()
+        self._entries = OrderedDict()
+        self._by_id = {}
+
+    def insert(self, item, now):
+        key = item.story_key
+        cached = self._entries.get(key)
+        if cached is not None and self.config.fuse_revisions:
+            if cached.item.revision >= item.revision:
+                if cached.item.item_id == item.item_id:
+                    self.stats.duplicates += 1
+                else:
+                    self.stats.stale_revisions += 1
+                return False
+            del self._by_id[cached.item.item_id]
+            del self._entries[key]
+            self.stats.fused += 1
+        elif cached is not None and cached.item.item_id == item.item_id:
+            self.stats.duplicates += 1
+            return False
+        elif cached is not None:
+            del self._by_id[cached.item.item_id]  # the fix
+        self._entries[key] = _LegacyCachedItem(item, now)
+        self._by_id[item.item_id] = key
+        self.stats.inserted += 1
+        self._evict_capacity()
+        return True
+
+    def _evict_capacity(self):
+        while len(self._entries) > self.config.capacity:
+            key, cached = self._entries.popitem(last=False)
+            del self._by_id[cached.item.item_id]
+            self.stats.evicted_capacity += 1
+
+    def gc(self, now):
+        cutoff = now - self.config.max_age
+        dropped = 0
+        while self._entries:
+            key, cached = next(iter(self._entries.items()))
+            if cached.received_at >= cutoff:
+                break
+            del self._entries[key]
+            del self._by_id[cached.item.item_id]
+            self.stats.evicted_age += 1
+            dropped += 1
+        return dropped
+
+    def get(self, item_id):
+        key = self._by_id.get(item_id)
+        return self._entries[key].item if key is not None else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.floats(1.0, 20.0),
+    st.booleans(),
+    st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("insert"),
+                st.integers(1, 6),
+                st.integers(0, 3),
+                st.floats(0.0, 50.0),
+            ),
+            st.tuples(st.just("gc"), st.floats(0.0, 80.0)),
+        ),
+        max_size=50,
+    ),
+)
+def test_matches_the_ordered_dict_cache(capacity, max_age, fuse, ops):
+    config = CacheConfig(capacity=capacity, max_age=max_age, fuse_revisions=fuse)
+    cache, legacy = MessageCache(config), LegacyMessageCache(config)
+    seen = set()
+    for op in ops:
+        if op[0] == "insert":
+            _, serial, revision, now = op
+            news = item(serial, revision)
+            seen.add(news.item_id)
+            assert cache.insert(news, now) == legacy.insert(news, now)
+        else:
+            assert cache.gc(op[1]) == legacy.gc(op[1])
+        assert [
+            (key, entry.item, entry.received_at)
+            for key, entry in cache._entries.items()
+        ] == [
+            (key, entry.item, entry.received_at)
+            for key, entry in legacy._entries.items()
+        ]
+        assert cache._by_id == legacy._by_id
+        assert cache.stats == legacy.stats
+        for item_id in seen:
+            assert (item_id in cache) == (item_id in legacy._by_id)
+            assert cache.get(item_id) == legacy.get(item_id)
