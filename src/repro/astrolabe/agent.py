@@ -27,7 +27,7 @@ states") — hypothesis-tested in ``tests/astrolabe``.
 from __future__ import annotations
 
 import functools
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence
+from typing import Any, Dict, Mapping, Optional, Sequence
 
 from repro.core.config import NewsWireConfig
 from repro.core.errors import AggregationError, CertificateError, ZoneError
@@ -52,9 +52,6 @@ from repro.astrolabe.zone import ZoneDelta, ZoneTable
 
 #: Attributes every leaf row carries so the standard aggregations work.
 BASE_LEAF_ATTRIBUTES = ("nmembers", "load", "contacts", "loads", "leaf")
-
-#: Listener signature for table-change notifications.
-TableListener = Callable[[ZonePath, list[str]], None]
 
 #: Contact string -> node id, one cache shared by every agent in the
 #: process (a map per agent would hold the same ids once per replica).
@@ -141,7 +138,6 @@ class AstrolabeAgent(Process):
         self._own_row: Optional[Row] = None
         #: Per zone: content token -> sorted unique contacts (gossip candidates).
         self._candidates: Dict[ZonePath, tuple[int, list[str]]] = {}
-        self._listeners: list[TableListener] = []
         self._rng = runtime.rng("gossip")
         self._gossip_timer = None
         #: Contacts seen recently, kept across expiry so an agent whose
@@ -252,10 +248,6 @@ class AstrolabeAgent(Process):
 
     def replicates(self, zone: ZonePath) -> bool:
         return zone in self.tables
-
-    def add_table_listener(self, listener: TableListener) -> None:
-        """Register a callback fired as ``listener(zone, changed_labels)``."""
-        self._listeners.append(listener)
 
     def install_aggregation(self, certificate: AggregationCertificate) -> bool:
         """Verify and install mobile code; newest ``issued_at`` wins."""
@@ -527,13 +519,10 @@ class AstrolabeAgent(Process):
                 continue
             table = self.tables[zone]
             rejected = table.rejected_future
-            changed = table.apply_delta(delta, low, high)
+            table.apply_delta(delta, low, high)
             if table.rejected_future > rejected:  # registered on first use only
                 metric = self.trace.metrics.counter("gossip.rows_rejected_future")
                 metric.inc(table.rejected_future - rejected)
-            if changed:
-                for listener in self._listeners:
-                    listener(zone, changed)
 
     def _certs_delta_for(self, remote_digest: CertDigest) -> CertDelta:
         return self._certs.delta_for(remote_digest)
@@ -570,14 +559,6 @@ class AstrolabeAgent(Process):
             return ()
         contacts = row.get("contacts", ())
         return contacts if isinstance(contacts, tuple) else ()
-
-    def is_contact_for(self, zone: ZonePath) -> bool:
-        """Is this agent an elected contact of its child zone within ``zone``?"""
-        index = self.zones.index(zone)
-        if index == len(self.zones) - 1:
-            return True  # every member represents itself in its parent zone
-        child = self.zones[index + 1]
-        return str(self.node_id) in self.contacts_of(zone, child.name)
 
     def root_aggregate(self, attribute: str) -> AttributeValue:
         """This agent's current view of a root-level aggregate attribute."""

@@ -954,10 +954,6 @@ class AqlProgram:
             (item.alias, _compile_table(item.expr)) for item in self.query.items
         ]
 
-    @property
-    def output_attributes(self) -> tuple[str, ...]:
-        return tuple(item.alias for item in self.query.items)
-
     def evaluate(self, rows: Sequence[RowMapping]) -> Dict[str, AqlValue]:
         where = self._where
         if where is not None:

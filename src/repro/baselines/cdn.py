@@ -69,9 +69,6 @@ class CdnOrigin(Process):
         self.trace = trace if trace is not None else TraceLog(sim, kinds=set())
         self.stats = CdnStats()
 
-    def add_edge(self, edge: NodeId) -> None:
-        self.edges.append(edge)
-
     def publish(self, item: NewsItem) -> None:
         if not self.edges:
             raise ConfigurationError("a CDN needs at least one edge node")

@@ -89,11 +89,6 @@ class OriginStats:
     flood_requests: int = 0
     bytes_sent: int = 0
 
-    @property
-    def drop_ratio(self) -> float:
-        total = self.requests + self.flood_requests
-        return self.dropped_overload / total if total else 0.0
-
 
 class OriginServer(Process):
     """A publisher's website with bounded service capacity."""

@@ -34,7 +34,8 @@ retains O(edges + spans) derived state, never raw event objects.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
@@ -208,6 +209,8 @@ class ItemTree:
         self.publisher = publisher
         self.publish_time = publish_time
         self.subject: Optional[str] = None
+        #: The publish event's ``scope`` zone, when it named one.
+        self.scope: Optional[str] = None
         self.spans: Dict[str, Span] = {}
         #: FIFO edge records per (parent, child) pair, in forward order.
         self.edges: Dict[Tuple[str, str], List[EdgeRecord]] = {}
@@ -374,12 +377,20 @@ class CausalSink:
     it via ``build_*(sinks=[...])`` or ``trace.add_sink(...)``.  Events
     arrive in simulation-time order, which the edge-matching relies on;
     :meth:`replay` rebuilds identical trees from a
-    :class:`~repro.obs.sinks.JsonlFileSink` artifact.
+    :class:`~repro.obs.sinks.JsonlFileSink` artifact.  Beside the trees
+    it keeps the run-wide ledger the testkit's invariants read.
     """
 
     def __init__(self) -> None:
         self.trees: Dict[str, ItemTree] = {}
         self.events_seen = 0
+        self.counts: Counter[str] = Counter()
+        #: ``(time, item, node, via, previous)`` per ``deliver`` to a
+        #: node that had already delivered the item, in arrival order;
+        #: ``previous`` is the delivery time the repeat overwrote.
+        self.duplicates: List[Tuple[float, str, str, str, float]] = []
+        self.crashed: Set[str] = set()
+        self.corrupted: Set[str] = set()
         #: Latest anti-entropy digest time per (sender, receiver) pair —
         #: what splits a repair edge into round-wait vs network time.
         self._digests: Dict[Tuple[str, str], float] = {}
@@ -393,6 +404,7 @@ class CausalSink:
 
     def emit(self, time: float, kind: str, fields: Mapping[str, Any]) -> None:
         self.events_seen += 1
+        self.counts[kind] += 1
         handler = self._HANDLERS.get(kind)
         if handler is not None:
             handler(self, time, fields)
@@ -408,6 +420,10 @@ class CausalSink:
         self._subscriptions.clear()
         self._expected.clear()
         self.events_seen = 0
+        self.counts.clear()
+        self.duplicates.clear()
+        self.crashed.clear()
+        self.corrupted.clear()
 
     def close(self) -> None:
         pass
@@ -435,6 +451,8 @@ class CausalSink:
         tree.publisher = node
         tree.publish_time = time
         tree.subject = fields.get("subject")
+        scope = fields.get("scope")
+        tree.scope = str(scope) if scope is not None else None
         span = self._span(tree, node, time)
         span.hop = 0
         span.via = "publish"
@@ -548,6 +566,10 @@ class CausalSink:
         node = str(fields.get("node", ""))
         tree = self._tree(item, node, time)
         span = self._span(tree, node, time)
+        if span.delivered_at is not None:
+            self.duplicates.append(
+                (time, item, node, str(fields.get("via", "")), span.delivered_at)
+            )
         span.delivered_at = time
         latency = fields.get("latency")
         span.latency = float(latency) if latency is not None else None
@@ -630,6 +652,10 @@ class CausalSink:
         "out-of-scope": _on_out_of_scope,
         "dup-dropped": _on_dup,
         "subscribe": _on_subscribe,
+        "node-crash": lambda self, t, f: self.crashed.add(str(f.get("node", ""))),
+        "summary-corrupt": lambda self, t, f: self.corrupted.add(
+            str(f.get("node", ""))
+        ),
         "filtered": lambda self, t, f: self._on_prune("filtered", t, f),
         "predicate-filtered": lambda self, t, f: self._on_prune(
             "predicate-filtered", t, f

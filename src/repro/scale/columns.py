@@ -18,7 +18,7 @@ cadence.
 from __future__ import annotations
 
 from array import array
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.astrolabe.deployment import balanced_layout
 from repro.core.errors import ConfigurationError
@@ -118,10 +118,6 @@ class MembershipColumns:
         base = zone * self.width
         return range(base, min(base + self.width, self.zone_counts[depth + 1]))
 
-    def zone_label(self, zone: int) -> str:
-        """The child label of a zone inside its parent (``z<digit>``)."""
-        return f"z{zone % self.width}"
-
     def node_path(self, index: int) -> str:
         """The node-id string, identical to ``balanced_paths``' output."""
         name = self._names[index]
@@ -196,15 +192,6 @@ class MembershipColumns:
             counts = self.agg_count[depth]
             for zone in range(self.zone_counts[depth]):
                 subs[zone], counts[zone] = self.recompute_zone(depth, zone)
-
-    # -- convenience -------------------------------------------------------
-
-    def alive_members(self, depth: int, zone: int) -> Iterator[int]:
-        alive = self.alive
-        member = self.member
-        for index in self.zone_members(depth, zone):
-            if alive[index] and member[index]:
-                yield index
 
     def __repr__(self) -> str:
         return (

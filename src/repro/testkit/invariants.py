@@ -1,24 +1,20 @@
 """Runtime protocol invariants, checked from the trace stream.
 
-Each checker implements the :class:`~repro.obs.sinks.TraceSink`
+:class:`InvariantSuite` implements the :class:`~repro.obs.sinks.TraceSink`
 protocol, so it attaches anywhere a sink does (``build_*(sinks=...)``,
 ``trace.add_sink``, the experiments CLI ``--check-invariants`` flag).
-Checkers are pure observers: they read event fields and — at
-finalization — system counters, but never touch simulation RNG or the
-event queue, so attaching them cannot perturb a fixed-seed run (pinned
-by ``tests/testkit/test_transparency.py``).
-
-Online checks (duplicates, scope) fire as events stream; end-of-run
-checks (eventual delivery, tree shape, reconvergence, queue
-conservation) run in ``finalize``, which receives the shared
-:class:`~repro.obs.causal.CausalSink` and, when available, the live
-system.  :class:`InvariantSuite` bundles the full catalogue behind one
-sink plus the ``CausalSink`` they share.
+Its :class:`~repro.obs.causal.CausalSink` is the only thing that sees
+events; every checker is an end-of-run ``finalize`` over that sink's
+trees and delivery ledger and, when available, the live system.
+Checkers are pure observers: they read the ledger and system counters,
+but never touch simulation RNG or the event queue, so attaching the
+suite cannot perturb a fixed-seed run (pinned by
+``tests/testkit/test_transparency.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.obs.causal import CausalSink, ItemTree, _zone_contains
@@ -79,37 +75,19 @@ class Violation:
 
 
 class InvariantChecker:
-    """Base checker: a TraceSink that accumulates :class:`Violation`.
+    """Base checker: an end-of-run check that accumulates :class:`Violation`.
 
-    Subclasses override :meth:`emit` for online checks and/or
-    :meth:`finalize` for end-of-run checks.  ``finalize`` receives the
-    suite's shared :class:`CausalSink` and — when the caller still
-    holds it — the running system, for checkers that need protocol
-    state the trace does not carry (zone tables, queue counters).
+    Subclasses override :meth:`finalize`, which receives the suite's
+    :class:`CausalSink` — trees plus delivery ledger — and, when the
+    caller still holds it, the running system, for checkers that need
+    protocol state the trace does not carry (zone tables, queue
+    counters).
     """
 
     name = "invariant"
 
     def __init__(self) -> None:
         self.violations: List[Violation] = []
-
-    # -- TraceSink protocol ----------------------------------------------
-
-    def emit(self, time: float, kind: str, fields: Mapping[str, Any]) -> None:
-        pass
-
-    @property
-    def retained_events(self) -> int:
-        """Always 0: checkers keep verdicts, not event objects."""
-        return 0
-
-    def clear(self) -> None:
-        self.violations.clear()
-
-    def close(self) -> None:
-        pass
-
-    # -- verdicts ---------------------------------------------------------
 
     def record(
         self,
@@ -132,7 +110,7 @@ class InvariantChecker:
         )
 
     def finalize(self, causal: CausalSink, system: Optional[Any] = None) -> None:
-        """End-of-run check; override in subclasses that need it."""
+        """End-of-run check; every subclass overrides it."""
 
     @property
     def ok(self) -> bool:
@@ -149,62 +127,46 @@ class NoDuplicateDelivery(InvariantChecker):
 
     name = "no-duplicate-delivery"
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._delivered: Dict[str, Set[str]] = {}
-
-    def emit(self, time: float, kind: str, fields: Mapping[str, Any]) -> None:
-        if kind != "deliver":
-            return
-        item = str(fields.get("item", ""))
-        node = str(fields.get("node", ""))
-        nodes = self._delivered.setdefault(item, set())
-        if node in nodes:
+    def finalize(self, causal: CausalSink, system: Optional[Any] = None) -> None:
+        for time, item, node, via, _previous in causal.duplicates:
             self.record(
                 "item delivered more than once",
                 item=item,
                 node=node,
                 time=time,
-                via=str(fields.get("via", "")),
+                via=via,
             )
-        else:
-            nodes.add(node)
-
-    def clear(self) -> None:
-        super().clear()
-        self._delivered.clear()
 
 
 class ScopedDeliveryOnly(InvariantChecker):
-    """Deliveries land only inside the item's published scope zone."""
+    """Deliveries land only inside the item's published scope zone.
+
+    One violation per ``deliver`` event outside the scope: a span's
+    last delivery, plus each earlier one a repeat overwrote.
+    """
 
     name = "scoped-delivery-only"
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._scopes: Dict[str, str] = {}
-
-    def emit(self, time: float, kind: str, fields: Mapping[str, Any]) -> None:
-        if kind == "publish":
-            scope = fields.get("scope")
-            if scope is not None:
-                self._scopes[str(fields.get("item", ""))] = str(scope)
-        elif kind == "deliver":
-            item = str(fields.get("item", ""))
-            scope = self._scopes.get(item)
-            node = str(fields.get("node", ""))
+    def finalize(self, causal: CausalSink, system: Optional[Any] = None) -> None:
+        escapes: List[Tuple[float, str, str, str]] = []
+        for item, tree in causal.trees.items():
+            if tree.scope is None:
+                continue
+            for node, span in tree.spans.items():
+                if span.delivered and not _zone_contains(tree.scope, node):
+                    escapes.append((span.delivered_at, item, node, tree.scope))
+        for _time, item, node, _via, previous in causal.duplicates:
+            scope = causal.trees[item].scope
             if scope is not None and not _zone_contains(scope, node):
-                self.record(
-                    f"delivery outside publish scope {scope!r}",
-                    item=item,
-                    node=node,
-                    time=time,
-                    scope=scope,
-                )
-
-    def clear(self) -> None:
-        super().clear()
-        self._scopes.clear()
+                escapes.append((previous, item, node, scope))
+        for time, item, node, scope in sorted(escapes):
+            self.record(
+                f"delivery outside publish scope {scope!r}",
+                item=item,
+                node=node,
+                time=time,
+                scope=scope,
+            )
 
 
 class CausalTreeWellFormed(InvariantChecker):
@@ -309,18 +271,6 @@ class EventualDeliveryOrAttributedLoss(InvariantChecker):
 
     name = "eventual-delivery-or-attributed-loss"
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._ever_crashed: Set[str] = set()
-
-    def emit(self, time: float, kind: str, fields: Mapping[str, Any]) -> None:
-        if kind == "node-crash":
-            self._ever_crashed.add(str(fields.get("node", "")))
-
-    def clear(self) -> None:
-        super().clear()
-        self._ever_crashed.clear()
-
     def _in_flight(self, tree: ItemTree, node: str) -> bool:
         return any(
             edge.status in ("enqueued", "sent")
@@ -338,7 +288,7 @@ class EventualDeliveryOrAttributedLoss(InvariantChecker):
             for node, cause in tree.misses(expected).items():
                 if cause != "never-forwarded":
                     continue  # attributed — the invariant holds
-                if node in self._ever_crashed:
+                if node in causal.crashed:
                     continue
                 if self._in_flight(tree, node):
                     continue
@@ -445,18 +395,6 @@ class RoutingStabilizes(InvariantChecker):
 
     name = "routing-stabilizes"
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._corrupted: Set[str] = set()
-
-    def emit(self, time: float, kind: str, fields: Mapping[str, Any]) -> None:
-        if kind == "summary-corrupt":
-            self._corrupted.add(str(fields.get("node", "")))
-
-    def clear(self) -> None:
-        super().clear()
-        self._corrupted.clear()
-
     def finalize(self, causal: CausalSink, system: Optional[Any] = None) -> None:
         if system is None:
             return
@@ -470,7 +408,8 @@ class RoutingStabilizes(InvariantChecker):
             if getattr(node, "crashed", False):
                 continue
             name = str(node.node_id)
-            if name in self._corrupted and not getattr(scheme, "stabilizes", False):
+            corrupted = name in causal.corrupted
+            if corrupted and not getattr(scheme, "stabilizes", False):
                 continue
             leaf_key = getattr(node, "_leaf_key", name)
             exported = {
@@ -481,7 +420,7 @@ class RoutingStabilizes(InvariantChecker):
                 self.record(
                     "exported summary diverges from subscription ground truth",
                     node=name,
-                    corrupted=name in self._corrupted,
+                    corrupted=corrupted,
                     subjects=tuple(s.subject for s in node.subscriptions),
                 )
 
@@ -506,30 +445,19 @@ class FalsePositiveBounded(InvariantChecker):
         super().__init__()
         self.max_ratio = max_ratio
         self.min_samples = min_samples
-        self._delivered = 0
-        self._rejected = 0
-
-    def emit(self, time: float, kind: str, fields: Mapping[str, Any]) -> None:
-        if kind == "deliver":
-            self._delivered += 1
-        elif kind == "rejected":
-            self._rejected += 1
-
-    def clear(self) -> None:
-        super().clear()
-        self._delivered = 0
-        self._rejected = 0
 
     def finalize(self, causal: CausalSink, system: Optional[Any] = None) -> None:
-        arrivals = self._delivered + self._rejected
+        delivered = causal.counts["deliver"]
+        rejected = causal.counts["rejected"]
+        arrivals = delivered + rejected
         if arrivals < self.min_samples:
             return
-        ratio = self._rejected / arrivals
+        ratio = rejected / arrivals
         if ratio > self.max_ratio:
             self.record(
                 "false-positive arrivals dominate deliveries",
-                rejected=self._rejected,
-                delivered=self._delivered,
+                rejected=rejected,
+                delivered=delivered,
                 ratio=round(ratio, 4),
                 max_ratio=self.max_ratio,
             )
@@ -552,9 +480,9 @@ def default_checkers() -> List[InvariantChecker]:
 class InvariantSuite:
     """The full invariant catalogue behind a single trace sink.
 
-    Owns a shared :class:`CausalSink` (tree reconstruction and loss
-    attribution feed several checkers) and fans every event out to it
-    plus each checker.  Attach the suite itself as a sink::
+    Owns the :class:`CausalSink` every event goes to; the checkers read
+    its trees and ledger in :meth:`finalize`, so verdicts exist only
+    after it.  Attach the suite itself as a sink::
 
         suite = InvariantSuite()
         system = build_newswire(..., sinks=[suite],
@@ -576,8 +504,6 @@ class InvariantSuite:
 
     def emit(self, time: float, kind: str, fields: Mapping[str, Any]) -> None:
         self.causal.emit(time, kind, fields)
-        for checker in self.checkers:
-            checker.emit(time, kind, fields)
 
     @property
     def retained_events(self) -> int:
@@ -586,12 +512,10 @@ class InvariantSuite:
     def clear(self) -> None:
         self.causal.clear()
         for checker in self.checkers:
-            checker.clear()
+            checker.violations.clear()
         self._finalized = False
 
     def close(self) -> None:
-        for checker in self.checkers:
-            checker.close()
         self.causal.close()
 
     # -- expectations / verdicts ------------------------------------------
@@ -610,10 +534,7 @@ class InvariantSuite:
 
     @property
     def violations(self) -> List[Violation]:
-        found: List[Violation] = []
-        for checker in self.checkers:
-            found.extend(checker.violations)
-        return found
+        return [v for checker in self.checkers for v in checker.violations]
 
     @property
     def ok(self) -> bool:

@@ -9,6 +9,7 @@ Only wall-time/provenance fields may differ.
 
 import contextlib
 import dataclasses
+import functools
 import io
 import json
 import re
@@ -41,20 +42,27 @@ def _load_scrubbed(path):
     return manifest
 
 
+@functools.cache
+def _two_worker_run(name):
+    """One two-worker quick run per experiment, shared by the tests
+    below; they only read it."""
+    return run_spec(get_spec(name), ExperimentConfig(quick=True), RunOptions(workers=2))
+
+
 class TestSpecEquivalence:
     @pytest.mark.parametrize("name", ["e2", "e5"])
     def test_quick_sweep_identical(self, name):
         spec = get_spec(name)
         config = ExperimentConfig(quick=True)
         serial = spec.run(config)
-        parallel = run_spec(spec, config, RunOptions(workers=2))
+        parallel = _two_worker_run(name)
         assert dataclasses.asdict(parallel.result) == dataclasses.asdict(serial)
         assert parallel.result.report() == serial.report()
 
     def test_cell_manifests_cover_every_cell(self):
         spec = get_spec("e5")
         config = ExperimentConfig(quick=True)
-        run = run_spec(spec, config, RunOptions(workers=2))
+        run = _two_worker_run("e5")
         cells = spec.plan_cells(config)
         assert [m["cell"] for m in run.cells] == [c.index for c in cells]
         assert [m["label"] for m in run.cells] == [c.label for c in cells]

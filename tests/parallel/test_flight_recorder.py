@@ -7,13 +7,18 @@ rows.  Profiler *event counts* are deterministic too; wall-times are
 not, so only counts are compared.
 """
 
+import functools
+
 import pytest
 
 from repro.experiments.registry import ExperimentConfig, RunOptions, get_spec
 from repro.parallel import run_spec
 
 
+@functools.cache
 def _flight_run(name, workers):
+    """One profiled quick run per ``(name, workers)``, shared by every
+    test in this module; the tests only read it."""
     return run_spec(
         get_spec(name),
         ExperimentConfig(quick=True),

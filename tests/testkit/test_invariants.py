@@ -33,17 +33,25 @@ class TestViolation:
         assert set(record) == {"invariant", "message"}
 
 
+def _checked(checker, sink: CausalSink):
+    """``checker`` finalized against ``sink``'s ledger so far."""
+    checker.violations.clear()
+    checker.finalize(sink)
+    return checker
+
+
 class TestNoDuplicateDelivery:
     def test_distinct_nodes_ok(self):
-        checker = NoDuplicateDelivery()
-        checker.emit(1.0, "deliver", {"item": ITEM, "node": "/n1"})
-        checker.emit(1.1, "deliver", {"item": ITEM, "node": "/n2"})
-        assert checker.ok
+        sink = CausalSink()
+        sink.emit(1.0, "deliver", {"item": ITEM, "node": "/n1"})
+        sink.emit(1.1, "deliver", {"item": ITEM, "node": "/n2"})
+        assert _checked(NoDuplicateDelivery(), sink).ok
 
     def test_repeat_delivery_fires(self):
-        checker = NoDuplicateDelivery()
-        checker.emit(1.0, "deliver", {"item": ITEM, "node": "/n1"})
-        checker.emit(2.0, "deliver", {"item": ITEM, "node": "/n1", "via": "repair"})
+        sink = CausalSink()
+        sink.emit(1.0, "deliver", {"item": ITEM, "node": "/n1"})
+        sink.emit(2.0, "deliver", {"item": ITEM, "node": "/n1", "via": "repair"})
+        checker = _checked(NoDuplicateDelivery(), sink)
         assert not checker.ok
         violation = checker.violations[0]
         assert violation.invariant == "no-duplicate-delivery"
@@ -53,25 +61,35 @@ class TestNoDuplicateDelivery:
 
 class TestScopedDeliveryOnly:
     def test_in_scope_ok_out_of_scope_fires(self):
-        checker = ScopedDeliveryOnly()
-        checker.emit(1.0, "publish", {"item": ITEM, "node": "/z1/n0",
-                                      "scope": "/z1"})
-        checker.emit(1.5, "deliver", {"item": ITEM, "node": "/z1/n2"})
-        assert checker.ok
-        checker.emit(1.6, "deliver", {"item": ITEM, "node": "/z2/n3"})
-        assert [v.node for v in checker.violations] == ["/z2/n3"]
+        sink, checker = CausalSink(), ScopedDeliveryOnly()
+        sink.emit(1.0, "publish", {"item": ITEM, "node": "/z1/n0",
+                                   "scope": "/z1"})
+        sink.emit(1.5, "deliver", {"item": ITEM, "node": "/z1/n2"})
+        assert _checked(checker, sink).ok
+        sink.emit(1.6, "deliver", {"item": ITEM, "node": "/z2/n3"})
+        assert [v.node for v in _checked(checker, sink).violations] == ["/z2/n3"]
+
+    def test_repeated_escape_reported_at_each_delivery(self):
+        sink = CausalSink()
+        sink.emit(1.0, "publish", {"item": ITEM, "node": "/z1/n0", "scope": "/z1"})
+        sink.emit(1.5, "deliver", {"item": ITEM, "node": "/z2/n3"})
+        sink.emit(2.0, "deliver", {"item": ITEM, "node": "/z2/n3", "via": "repair"})
+        checker = _checked(ScopedDeliveryOnly(), sink)
+        assert [(v.node, v.time) for v in checker.violations] == [
+            ("/z2/n3", 1.5), ("/z2/n3", 2.0)
+        ]
 
     def test_root_scope_allows_everything(self):
-        checker = ScopedDeliveryOnly()
-        checker.emit(1.0, "publish", {"item": ITEM, "node": "/n0", "scope": "/"})
-        checker.emit(1.5, "deliver", {"item": ITEM, "node": "/z9/n7"})
-        assert checker.ok
+        sink = CausalSink()
+        sink.emit(1.0, "publish", {"item": ITEM, "node": "/n0", "scope": "/"})
+        sink.emit(1.5, "deliver", {"item": ITEM, "node": "/z9/n7"})
+        assert _checked(ScopedDeliveryOnly(), sink).ok
 
     def test_unscoped_publish_not_checked(self):
-        checker = ScopedDeliveryOnly()
-        checker.emit(1.0, "publish", {"item": ITEM, "node": "/n0"})
-        checker.emit(1.5, "deliver", {"item": ITEM, "node": "/anywhere"})
-        assert checker.ok
+        sink = CausalSink()
+        sink.emit(1.0, "publish", {"item": ITEM, "node": "/n0"})
+        sink.emit(1.5, "deliver", {"item": ITEM, "node": "/anywhere"})
+        assert _checked(ScopedDeliveryOnly(), sink).ok
 
 
 def _well_formed_sink() -> CausalSink:
@@ -145,8 +163,8 @@ class TestEventualDeliveryOrAttributedLoss:
 
     def test_crashed_node_exempt(self):
         sink = self._sink_with_miss()
+        sink.emit(0.9, "node-crash", {"node": "/n1"})
         checker = EventualDeliveryOrAttributedLoss()
-        checker.emit(0.9, "node-crash", {"node": "/n1"})
         checker.finalize(sink)
         assert checker.ok
 
@@ -288,6 +306,7 @@ class TestInvariantSuite:
         suite.emit(1.0, "publish", {"item": ITEM, "node": "/n0"})
         suite.emit(1.5, "deliver", {"item": ITEM, "node": "/n1"})
         suite.emit(1.6, "deliver", {"item": ITEM, "node": "/n1"})
+        suite.finalize(None)
         assert not suite.ok
         assert suite.retained_events == 0
         suite.clear()

@@ -147,9 +147,10 @@ class TestStabilization:
         )
         checker.finalize(CausalSink(), SimpleNamespace(nodes=[node]))
         assert not checker.ok
-        checker.clear()
-        checker.emit(1.0, "summary-corrupt", {"node": "/n1"})
-        checker.finalize(CausalSink(), SimpleNamespace(nodes=[node]))
+        checker.violations.clear()
+        corrupted = CausalSink()
+        corrupted.emit(1.0, "summary-corrupt", {"node": "/n1"})
+        checker.finalize(corrupted, SimpleNamespace(nodes=[node]))
         assert checker.ok
 
 
@@ -191,33 +192,37 @@ class TestRoutingStabilizesEdges:
 
 
 class TestFalsePositiveBounded:
-    def _feed(self, checker, delivered, rejected):
+    def _feed(self, suite, delivered, rejected):
         for _ in range(delivered):
-            checker.emit(1.0, "deliver", {})
+            suite.emit(1.0, "deliver", {})
         for _ in range(rejected):
-            checker.emit(1.0, "rejected", {})
-        checker.finalize(CausalSink())
+            suite.emit(1.0, "rejected", {})
+        suite.finalize(None)
+
+    def _suite(self):
+        checker = FalsePositiveBounded()
+        return checker, InvariantSuite([checker])
 
     def test_dominated_arrivals_violate(self):
-        checker = FalsePositiveBounded()
-        self._feed(checker, delivered=2, rejected=98)
+        checker, suite = self._suite()
+        self._feed(suite, delivered=2, rejected=98)
         assert not checker.ok
         assert checker.violations[0].invariant == "false-positive-bounded"
 
     def test_honest_bloom_collisions_pass(self):
-        checker = FalsePositiveBounded()
-        self._feed(checker, delivered=90, rejected=30)
+        checker, suite = self._suite()
+        self._feed(suite, delivered=90, rejected=30)
         assert checker.ok
 
     def test_small_samples_never_trip(self):
-        checker = FalsePositiveBounded()
-        self._feed(checker, delivered=0, rejected=49)
+        checker, suite = self._suite()
+        self._feed(suite, delivered=0, rejected=49)
         assert checker.ok
 
     def test_clear_resets_counters(self):
-        checker = FalsePositiveBounded()
-        self._feed(checker, delivered=0, rejected=100)
+        checker, suite = self._suite()
+        self._feed(suite, delivered=0, rejected=100)
         assert not checker.ok
-        checker.clear()
-        self._feed(checker, delivered=100, rejected=0)
+        suite.clear()
+        self._feed(suite, delivered=100, rejected=0)
         assert checker.ok
