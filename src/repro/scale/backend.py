@@ -14,12 +14,14 @@ top-level fan-out, canonical aggregates gate deeper levels, and the
 exact interned-subject match selects leaf subscribers — accumulating
 each delivery's arrival time from the same per-hop ingredients the
 object backend pays (forwarding delay, send-rate pacing, zone-distance
-latency bands).  The walk's rows go to the kernel in one
-:meth:`~repro.sim.engine.Simulation.call_at_batch` call and wait in
-the system's single bulk lane — one heap entry, however many deliveries
-are in flight.  The kernel hands :meth:`ColumnarNewsWire._deliver` runs
-of due rows; it drops the copies whose node crashed in flight and
-records the rest as ordinary ``deliver`` events in one
+latency bands).  The walk writes its deliveries into parallel columns
+(arrival times, node indices, hops, a shared origin per publish) that
+go to the kernel in one :meth:`~repro.sim.engine.Simulation.call_at_batch`
+call and wait, still as columns, in the system's single bulk lane — one
+heap entry, however many deliveries are in flight.  The kernel hands
+:meth:`ColumnarNewsWire._deliver` runs of due rows, built as they fire;
+it drops the copies whose node crashed in flight and records the rest
+as ordinary ``deliver`` events in one
 :meth:`~repro.sim.trace.TraceLog.record_many`, so sinks, metric
 collectors and the invariant suite see a normal run.
 
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from array import array
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.bloom import positions_mask
@@ -291,34 +294,36 @@ class ColumnarNewsWire:
         )
         # One bound method for every publish's rows: the kernel keeps a
         # single lane, and a single heap entry, per callback.
-        self._sim.call_at_batch(
-            self._deliver, self._walk(subject, name, node_index, item)
-        )
+        self._sim.call_at_batch(self._deliver, *self._walk(subject, name, node_index, item))
         return {"item": item, "subject": subject, "publisher": name}
 
     def _deliver(self, rows: List[tuple]) -> None:
-        """Lane handler: consecutive due rows, no other event between
-        them.  ``sim.now`` is the last row's time, so each delivery is
-        stamped with its own."""
+        """Lane handler: consecutive due ``(time, node, hop, origin)``
+        rows, no other event between them.  ``sim.now`` is the last
+        row's time, so each delivery is stamped with its own."""
         columns = self.columns
-        alive, member, node_path = columns.alive, columns.member, columns.node_path
+        alive, member, names, node_path = (
+            columns.alive, columns.member, columns.names, columns.node_path
+        )
         self._trace.record_many(
             "deliver",
             [
-                (time, {"node": node_path(index), "item": item, "latency": time - created,
-                        "sender": sender, "hop": hop, "via": "tree"})
-                for time, item, index, created, sender, hop in rows
+                (time, {"node": names[index] or node_path(index), "item": item,
+                        "latency": time - created, "sender": sender, "hop": hop,
+                        "via": "tree"})
+                for time, index, hop, (item, created, sender) in rows
                 if alive[index] and member[index]  # else: crashed with the copy in flight
             ],
         )
 
     def _walk(
         self, subject: str, publisher_name: str, publisher_index: int, item: str
-    ) -> List[tuple]:
-        """Analytic dissemination: one ``(arrival_time, item, node,
-        created, sender, hop)`` row per delivery — the shape
-        :meth:`_deliver` takes — from one tree descent, each leaf zone
-        visited at most once.
+    ) -> Tuple[array, array, array, list]:
+        """Analytic dissemination from one tree descent, each leaf zone
+        visited at most once: four parallel columns with one entry per
+        delivery — arrival times, node indices, hops, and an *origin*
+        ``(item, created, sender)`` tuple shared by the publish's rows —
+        from which the lane builds :meth:`_deliver`'s rows.
         """
         columns = self.columns
         scheme = self.scheme
@@ -327,57 +332,55 @@ class ColumnarNewsWire:
         now = self._sim.now
         publisher_node = columns.node_path(publisher_index)
         self._walk_serial += 1
-        rng = derive_rng(self.seed, _LATENCY_STREAM, self._walk_serial)
+        draw = derive_rng(self.seed, _LATENCY_STREAM, self._walk_serial).random
         forwarding_delay = self.config.multicast.forwarding_delay
         send_gap = 1.0 / self.config.multicast.max_send_rate
-        bands = self._bands
         levels = columns.levels
         alive = columns.alive
         member = columns.member
         subjects = columns.subjects
-        out: List[tuple] = []
-
-        def band_draw(depth: int) -> float:
-            # Fanning across children of a depth-`depth` zone: their
-            # members' paths share `depth` labels of `levels`, so the
-            # zone distance is levels - depth.
-            low, high = bands[min(levels - depth, len(bands)) - 1]
-            return rng.uniform(low, high)
+        # Fanning across children of a depth-`depth` zone: their members'
+        # paths share `depth` labels of `levels`, so the zone distance is
+        # levels - depth.  `low + (high - low) * draw()` is what
+        # `rng.uniform(low, high)` computes, draw for draw.
+        bands = []
+        for depth in range(levels):
+            low, high = self._bands[min(levels - depth, len(self._bands)) - 1]
+            bands.append((low, high - low))
+        times, nodes, hops, origins = array("d"), array("I"), array("B"), []
+        relayed = (item, now, publisher_node)
+        own = (item, now, "")  # the publisher's own copy has no sender
 
         def leaf(zone: int, carrier: int, time: float, hop: int) -> None:
             if sid is None:
                 return  # nobody anywhere subscribes to this subject
+            low, span = bands[levels - 1]
             pacing = 0
             for index in columns.leaf_members(zone):
                 if not alive[index] or not member[index]:
                     continue
                 if sid not in subjects[index]:
                     continue
+                nodes.append(index)
                 if index == carrier:
+                    times.append(time)
+                    hops.append(hop)
                     # Only a carrier can be the publisher itself.
-                    sender = "" if index == publisher_index else publisher_node
-                    out.append((time, item, index, now, sender, hop))
+                    origins.append(own if index == publisher_index else relayed)
                 else:
                     pacing += 1
-                    out.append(
-                        (
-                            time
-                            + forwarding_delay
-                            + pacing * send_gap
-                            + band_draw(levels - 1),
-                            item,
-                            index,
-                            now,
-                            publisher_node,
-                            hop + 1,
-                        )
+                    times.append(
+                        time + forwarding_delay + pacing * send_gap + (low + span * draw())
                     )
+                    hops.append(hop + 1)
+                    origins.append(relayed)
 
         def descend(depth: int, zone: int, carrier: int, time: float, hop: int) -> None:
             if depth == levels - 1:
                 leaf(zone, carrier, time, hop)
                 return
             carrier_child = columns.zone_of(carrier, depth + 1)
+            low, span = bands[depth]
             pacing = 0
             for child in columns.children(depth, zone):
                 if child == carrier_child:
@@ -395,20 +398,15 @@ class ColumnarNewsWire:
                 if next_carrier is None:
                     continue
                 pacing += 1
-                arrival = (
-                    time
-                    + forwarding_delay
-                    + pacing * send_gap
-                    + band_draw(depth)
-                )
+                arrival = time + forwarding_delay + pacing * send_gap + (low + span * draw())
                 descend(depth + 1, child, next_carrier, arrival, hop + 1)
 
         descend(0, 0, publisher_index, now, 0)
         # descend's closure holds descend, a cycle that would pin the
-        # helpers — and `out`, which they close over — until a full
-        # collection; unbound, they die by reference count.
+        # helpers — and the columns, which they close over — until a
+        # full collection; unbound, they die by reference count.
         descend = None
-        return out
+        return times, nodes, hops, origins
 
 
 # ----------------------------------------------------------------------

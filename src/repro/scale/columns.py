@@ -84,7 +84,8 @@ class MembershipColumns:
             [0] * count for count in self.zone_counts[:levels]
         ]
 
-        self._names: List[Optional[str]] = [None] * num_nodes
+        #: Node-path cache, filled by :meth:`node_path`; ``None`` until then.
+        self.names: List[Optional[str]] = [None] * num_nodes
 
     # -- zone arithmetic ---------------------------------------------------
 
@@ -120,7 +121,7 @@ class MembershipColumns:
 
     def node_path(self, index: int) -> str:
         """The node-id string, identical to ``balanced_paths``' output."""
-        name = self._names[index]
+        name = self.names[index]
         if name is None:
             digits: List[int] = []
             remaining = index
@@ -131,7 +132,7 @@ class MembershipColumns:
             labels = [f"z{digit}" for digit in digits[:-1]]
             labels.append(f"n{index}")
             name = "/" + "/".join(labels)
-            self._names[index] = name
+            self.names[index] = name
         return name
 
     # -- carriers ----------------------------------------------------------

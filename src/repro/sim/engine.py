@@ -15,9 +15,11 @@ Determinism guarantees:
 Together these make every experiment a pure function of its seed.
 
 :meth:`Simulation.call_at_batch` rows do not cost a heap entry each: a
-callback's pending rows wait in one time-sorted *lane* with only its
-head row in the heap, and fire in the same ``(time, seq)`` order
-(``docs/SIMULATOR.md``, "Bulk lanes").
+callback's pending rows wait in one *lane* with only its head row in
+the heap, and fire in the same ``(time, seq)`` order.  A batch stays in
+columns — its sorted times and sort permutation as arrays, the
+caller's columns as given — and row tuples are built only for the rows
+a dispatch hands over (``docs/SIMULATOR.md``, "Bulk lanes").
 
 Cancellation is lazy (a cancelled handle stays in the heap until its
 time comes) but bounded: the simulation counts dead handles and
@@ -33,7 +35,8 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from bisect import bisect_left
+from array import array
+from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from time import perf_counter
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
@@ -270,34 +273,41 @@ class Simulation:
         _heappush(self._heap, (time, seq, handle))
         return handle
 
-    def call_at_batch(self, callback: Callable[[list], None], rows: Sequence[tuple]) -> int:
-        """Schedule ``rows`` — tuples led by their fire time — for ``callback``.
+    def call_at_batch(
+        self, callback: Callable[[list], None], times: Sequence[float], *columns: Sequence
+    ) -> int:
+        """Schedule one row per entry of ``times`` for ``callback``.
 
         The bulk entry point for the columnar scale backend, whose
         dissemination step computes thousands of delivery times at once.
-        Rows fire in the total order :meth:`call_at` would give them
-        (row *i* takes sequence number ``base + i``), but ``callback``
-        gets a **list** of consecutive due rows (see :class:`_Lane`)
-        with :attr:`now` at the last one's time, so it reads each row's
-        own.  All rows are validated like :meth:`call_at` before any is
-        scheduled: a bad one raises and leaves the simulation untouched.
-        Fire-only — no handles, no cancellation.  Returns the number
-        scheduled.
+        Row *i* is ``(times[i], columns[0][i], columns[1][i], ...)``; the
+        lane keeps ``columns`` as given (arrays stay arrays) and builds a
+        row's tuple only when it fires, so the caller must not mutate
+        them afterwards.  Rows fire in the total order :meth:`call_at`
+        would give them (row *i* takes sequence number ``base + i``), but
+        ``callback`` gets a **list** of consecutive due rows (see
+        :class:`_Lane`) with :attr:`now` at the last one's time, so it
+        reads each row's own.  All rows are validated like
+        :meth:`call_at` before any is scheduled: a bad one raises and
+        leaves the simulation untouched.  Fire-only — no handles, no
+        cancellation.  Returns the number scheduled.
         """
-        now = self._now
-        times = [row[0] for row in rows]
-        if not times:
+        count = len(times)
+        if not count:
             return 0
+        now = self._now
         if not all(map(_isfinite, times)) or min(times) < now:
             bad = next(t for t in times if not _isfinite(t) or t < now)
             raise SimulationError(f"cannot schedule event at t={bad} (now={now})")
+        if any(len(column) != count for column in columns):
+            raise SimulationError(f"every column needs {count} entries, one per time")
         lane = self._lanes.get(callback)
         if lane is None:
             lane = self._lanes[callback] = _Lane(self, callback)
         seq = self._seq
-        self._seq = seq + len(times)
-        lane.add(list(zip(times, range(seq, self._seq), rows)))
-        return len(times)
+        self._seq = seq + count
+        lane.add(_Run(times, seq, columns))
+        return count
 
     def call_every(
         self,
@@ -406,44 +416,84 @@ class Simulation:
         )
 
 
+class _Run:
+    """One batch's pending rows in fire order, its columns as given.
+
+    ``times`` holds the batch's times sorted and ``order`` the sort
+    permutation (``order[k]`` is the batch index of the *k*-th row to
+    fire), both flat arrays; the sort is stable, so equal times keep
+    batch order, which is seq order, and a row's seq is ``base +
+    order[k]``.  ``pos`` is the next row to fire.
+    """
+
+    __slots__ = ("times", "order", "base", "columns", "pos")
+
+    def __init__(self, times: Sequence[float], base: int, columns: tuple):
+        # Sort by a list's own floats, not by a key that boxes one per
+        # row mid-sort: the same order, but less of the sort's scratch
+        # memory stays stranded (columnar-e2-100k's peak RSS reads about
+        # 1 MiB lower and steadier).
+        keys = list(times)
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        self.times = array("d", map(keys.__getitem__, order))
+        self.order = array("I", order)
+        self.base = base
+        self.columns = columns
+        self.pos = 0
+
+    def head(self) -> tuple:
+        """``(time, seq)`` of the next row to fire."""
+        pos = self.pos
+        return self.times[pos], self.base + self.order[pos]
+
+    def take(self, stop: tuple, room: int, due: int, out: list) -> None:
+        """Append the rows keyed before ``stop`` (at most ``room``, and
+        the first ``due`` whatever ``stop``) to ``out`` as tuples."""
+        times, order, pos = self.times, self.order, self.pos
+        hi = min(pos + room, len(times))
+        time, seq = stop
+        end = bisect_left(times, time, pos + due, hi)
+        if end < hi and times[end] == time:  # ties with `stop` go by seq
+            end = bisect_left(order, seq - self.base, end, bisect_right(times, time, end, hi))
+        picked = order[pos:end]
+        out += zip(times[pos:end], *[map(column.__getitem__, picked) for column in self.columns])
+        self.pos = end
+
+
 class _Lane:
     """One callback's pending bulk rows behind (almost always) one heap entry.
 
-    ``_entries[_head:]`` are ``(time, seq, row)``, ascending, so sorting
-    and bisection compare in C as the heap does.  The head row is
-    *armed*: an ordinary :class:`EventHandle` keyed by its ``(time,
-    seq)`` and bound to :meth:`_fire` sits in the heap.  A batch that
-    brings an earlier head arms it too and leaves the overtaken entry
-    alone (a cancelled twin would tie with its row's next arming, and
-    heap keys are unique); it bounds runs like any heap event, so it is
-    there when its row heads the lane again.  ``_armed`` stacks the
-    armed rows' seqs, the head's last.  ``callback`` is public, as on
+    Each :meth:`Simulation.call_at_batch` call adds one :class:`_Run`;
+    the lane's head is the earliest ``(time, seq)`` among the runs'
+    heads, compared in C as the heap does.  The head row is *armed*: an
+    ordinary :class:`EventHandle` keyed by its ``(time, seq)`` and bound
+    to :meth:`_fire` sits in the heap.  A batch that brings an earlier
+    head arms it too and leaves the overtaken entry alone (a cancelled
+    twin would tie with its row's next arming, and heap keys are
+    unique); it bounds runs like any heap event, so it is there when its
+    row heads the lane again.  ``_armed`` stacks the armed rows' seqs,
+    the head's last.  ``callback`` is public, as on
     :class:`PeriodicEvent`, for dispatch monitors to see through
     ``_fire`` to the real handler.
     """
 
-    __slots__ = ("_sim", "callback", "_entries", "_head", "_armed")
+    __slots__ = ("_sim", "callback", "_runs", "_armed")
 
     def __init__(self, sim: Simulation, callback: Callable[[list], None]):
         self._sim = sim
         self.callback = callback
-        self._entries: list[tuple[float, int, tuple]] = []
-        self._head = 0
+        self._runs: list[_Run] = []
         self._armed: list[int] = []
 
-    def add(self, entries: list) -> None:
-        """Merge validated ``(time, seq, row)`` entries in."""
-        pending = self._entries
-        del pending[: self._head]
-        self._head = 0
-        pending += entries
-        pending.sort()  # a sorted run plus a batch: Timsort merges, no full re-sort
-        self._sim._lane_extra += len(entries)
+    def add(self, run: _Run) -> None:
+        """Take a validated batch in."""
+        self._runs.append(run)
+        self._sim._lane_extra += len(run.times)
         self._arm()
 
     def _arm(self) -> None:
         """Give the head row its heap entry, unless it holds one."""
-        time, seq, _ = self._entries[self._head]
+        time, seq = min([run.head() for run in self._runs])
         armed = self._armed
         if armed and armed[-1] == seq:
             return
@@ -463,24 +513,34 @@ class _Lane:
         limit = (sim._bound, _INF)
         if heap and heap[0] < limit:
             limit = heap[0][:2]
-        entries = self._entries
-        head = self._head
-        # The head row is due, so a run is never empty: search after it.
-        end = bisect_left(entries, limit, head + 1, min(head + _LANE_RUN_CAP, len(entries)))
-        rows = [entry[2] for entry in entries[head:end]]
-        sim._now = entries[end - 1][0]
-        sim._events_processed += end - head - 1  # the kernel counted the head row
-        sim._lane_extra += 1 + head - end
-        # Drop the fired prefix once it outweighs what is pending: O(1)
-        # amortised per row, and fired rows are not pinned for long.
-        if end * 2 >= len(entries):
-            del entries[:end]
-            end = 0
-        self._head = end
+        runs = self._runs
+        rows: list = []
+        due = 1  # the head row is due even past `limit` (step() fires one)
+        while len(rows) < _LANE_RUN_CAP:
+            # Merge across runs: take from the run holding the earliest
+            # row up to the next row of any other run, then switch.
+            heads = [run.head() for run in runs]
+            first = min(heads)
+            if first >= limit and not due:
+                break
+            run = runs[heads.index(first)]
+            stop = limit
+            for head in heads:
+                if first < head < stop:
+                    stop = head
+            run.take(stop, _LANE_RUN_CAP - len(rows), due, rows)
+            due = 0
+            if run.pos == len(run.times):
+                runs.remove(run)
+                if not runs:
+                    break
+        sim._now = rows[-1][0]
+        sim._events_processed += len(rows) - 1  # the kernel counted the head row
+        sim._lane_extra += 1 - len(rows)
         try:
             self.callback(rows)
         finally:
-            if self._head < len(self._entries):
+            if self._runs:
                 self._arm()
             else:
                 del sim._lanes[self.callback]

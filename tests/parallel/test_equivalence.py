@@ -9,7 +9,6 @@ Only wall-time/provenance fields may differ.
 
 import contextlib
 import dataclasses
-import functools
 import io
 import json
 import re
@@ -17,8 +16,7 @@ import re
 import pytest
 
 from repro.experiments.__main__ import main
-from repro.experiments.registry import ExperimentConfig, RunOptions, get_spec
-from repro.parallel import run_spec
+from repro.experiments.registry import ExperimentConfig, get_spec
 
 #: Manifest fields allowed to differ between the two runs.
 _PROVENANCE_FIELDS = ("wall_time_s", "started_at", "git_rev")
@@ -42,27 +40,20 @@ def _load_scrubbed(path):
     return manifest
 
 
-@functools.cache
-def _two_worker_run(name):
-    """One two-worker quick run per experiment, shared by the tests
-    below; they only read it."""
-    return run_spec(get_spec(name), ExperimentConfig(quick=True), RunOptions(workers=2))
-
-
 class TestSpecEquivalence:
     @pytest.mark.parametrize("name", ["e2", "e5"])
-    def test_quick_sweep_identical(self, name):
+    def test_quick_sweep_identical(self, name, two_worker_run):
         spec = get_spec(name)
         config = ExperimentConfig(quick=True)
         serial = spec.run(config)
-        parallel = _two_worker_run(name)
+        parallel = two_worker_run(name)
         assert dataclasses.asdict(parallel.result) == dataclasses.asdict(serial)
         assert parallel.result.report() == serial.report()
 
-    def test_cell_manifests_cover_every_cell(self):
+    def test_cell_manifests_cover_every_cell(self, two_worker_run):
         spec = get_spec("e5")
         config = ExperimentConfig(quick=True)
-        run = _two_worker_run("e5")
+        run = two_worker_run("e5")
         cells = spec.plan_cells(config)
         assert [m["cell"] for m in run.cells] == [c.index for c in cells]
         assert [m["label"] for m in run.cells] == [c.label for c in cells]

@@ -68,12 +68,10 @@ class TestProfileMergeEquivalence:
         assert one.profile.events == two.profile.events
         assert one.profile.heap_max == two.profile.heap_max
 
-    def test_profiling_leaves_results_untouched(self):
-        spec = get_spec("e2")
-        config = ExperimentConfig(quick=True)
+    def test_profiling_leaves_results_untouched(self, two_worker_run):
         import dataclasses
 
-        bare = run_spec(spec, config, RunOptions(workers=2))
+        bare = two_worker_run("e2")
         instrumented = _flight_run("e2", workers=2)
         assert dataclasses.asdict(instrumented.result) == dataclasses.asdict(
             bare.result
