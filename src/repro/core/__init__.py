@@ -13,7 +13,6 @@ from repro.core.config import (
     GossipConfig,
     MulticastConfig,
     NewsWireConfig,
-    PublisherConfig,
     QUEUE_STRATEGIES,
 )
 from repro.core.errors import (
@@ -55,7 +54,6 @@ __all__ = [
     "NewsWireError",
     "NodeId",
     "PublishError",
-    "PublisherConfig",
     "QUEUE_STRATEGIES",
     "ROOT",
     "SimulationError",

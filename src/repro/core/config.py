@@ -85,9 +85,6 @@ class MulticastConfig:
     repair_enabled: bool = True
     #: Seconds between repair (anti-entropy digest) rounds.
     repair_interval: float = 4.0
-    #: Recently handled (item, zone) pairs remembered for duplicate
-    #: suppression (§9: item ids "can be used to remove duplicates").
-    dedup_capacity: int = 8192
     #: Recently delivered items kept available for repair pulls.
     repair_buffer_capacity: int = 256
     #: Probability that a repair round gossips with a peer outside the
@@ -112,8 +109,6 @@ class MulticastConfig:
             raise ConfigurationError("max_send_rate must be positive")
         if self.repair_interval <= 0:
             raise ConfigurationError("repair_interval must be positive")
-        if self.dedup_capacity <= 0:
-            raise ConfigurationError("dedup_capacity must be positive")
         if self.repair_buffer_capacity <= 0:
             raise ConfigurationError("repair_buffer_capacity must be positive")
         if not 0.0 <= self.cross_zone_repair_probability <= 1.0:
@@ -128,35 +123,14 @@ class CacheConfig:
 
     #: Maximum items retained before garbage collection.
     capacity: int = 1000
-    #: Retain only the newest revision of each story when True ("fused
-    #: or aggregated into a more compact form").
-    fuse_revisions: bool = True
     #: Items older than this many seconds are GC-eligible.
     max_age: float = 3600.0
-    #: Number of recent items handed to a joining node (state transfer).
-    state_transfer_items: int = 50
 
     def validate(self) -> None:
         if self.capacity <= 0:
             raise ConfigurationError("cache capacity must be positive")
         if self.max_age <= 0:
             raise ConfigurationError("cache max_age must be positive")
-        if self.state_transfer_items < 0:
-            raise ConfigurationError("state_transfer_items must be >= 0")
-
-
-@dataclass(frozen=True)
-class PublisherConfig:
-    """Publisher-side restrictions (paper §8: flow control, auth)."""
-
-    #: Maximum items per second a publisher may inject.
-    max_publish_rate: float = 10.0
-    #: Whether publish operations must carry a valid certificate.
-    require_certificates: bool = True
-
-    def validate(self) -> None:
-        if self.max_publish_rate <= 0:
-            raise ConfigurationError("max_publish_rate must be positive")
 
 
 @dataclass(frozen=True)
@@ -170,7 +144,6 @@ class NewsWireConfig:
     bloom: BloomConfig = field(default_factory=BloomConfig)
     multicast: MulticastConfig = field(default_factory=MulticastConfig)
     cache: CacheConfig = field(default_factory=CacheConfig)
-    publisher: PublisherConfig = field(default_factory=PublisherConfig)
 
     def validate(self) -> "NewsWireConfig":
         if not 2 <= self.branching_factor <= 1024:
@@ -179,7 +152,6 @@ class NewsWireConfig:
         self.bloom.validate()
         self.multicast.validate()
         self.cache.validate()
-        self.publisher.validate()
         return self
 
     def with_options(self, **overrides: Any) -> "NewsWireConfig":

@@ -45,6 +45,10 @@ from repro.multicast.messages import (
 )
 from repro.multicast.queues import ForwardingQueues
 
+#: Recently handled (item, zone) pairs remembered for duplicate
+#: suppression (§9: item ids "can be used to remove duplicates").
+DEDUP_CAPACITY = 8192
+
 
 def _usable_contacts(contacts: tuple) -> list[tuple[str, NodeId]]:
     """``(contact, node id)`` for each contact that names a node, in
@@ -81,7 +85,7 @@ class MulticastNode(AstrolabeAgent):
         #: (item_key, zone) pairs already disseminated — §9's duplicate
         #: removal for redundant-representative forwarding.
         self._seen: RumorBuffer[tuple[Hashable, ZonePath], None] = RumorBuffer(
-            mc.dedup_capacity
+            DEDUP_CAPACITY
         )
         #: Recently delivered envelopes, the repair source and the
         #: state-transfer source for joiners.

@@ -66,7 +66,7 @@ class MessageCache:
         """Store ``item``; returns False for duplicates/stale revisions."""
         key = item.story_key
         cached = self._entries.get(key)
-        if cached is not None and self.config.fuse_revisions:
+        if cached is not None:
             if cached.item.revision >= item.revision:
                 if cached.item.item_id == item.item_id:
                     self.stats.duplicates += 1
@@ -77,13 +77,6 @@ class MessageCache:
             del self._by_id[cached.item.item_id]
             del self._entries[key]
             self.stats.fused += 1
-        elif cached is not None:
-            if cached.item.item_id == item.item_id:
-                self.stats.duplicates += 1
-                return False
-            # Without fusion the new revision replaces the entry in place;
-            # the replaced revision is no longer cached.
-            del self._by_id[cached.item.item_id]
         self._entries[key] = _CachedItem(item, now)
         self._by_id[item.item_id] = key
         self.stats.inserted += 1

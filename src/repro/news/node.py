@@ -32,6 +32,11 @@ from repro.pubsub.node import PubSubNode
 from repro.pubsub.schemes import SubscriptionScheme
 
 
+#: Recent items handed to a joining node by state transfer (§9's
+#: "limited state transfer to participants that are joining").
+STATE_TRANSFER_ITEMS = 50
+
+
 class _TokenBucket:
     """Flow control for publishers: ``rate`` tokens/second, burst ``rate``."""
 
@@ -164,9 +169,7 @@ class NewsWireNode(PubSubNode):
 
     def _check_credential(self, publisher: Optional[str]) -> str:
         if self._credential is None:
-            if self.config.publisher.require_certificates:
-                raise PublishError(f"{self.node_id} holds no publisher certificate")
-            return str(self.node_id)
+            raise PublishError(f"{self.node_id} holds no publisher certificate")
         if publisher is not None and publisher != self._credential.publisher:
             raise PublishError(
                 f"credential is for {self._credential.publisher!r}, "
@@ -182,23 +185,24 @@ class NewsWireNode(PubSubNode):
     ) -> NewsItem:
         """Sign and disseminate; returns the item as actually published."""
         target = zone if zone is not None else ZonePath()
-        if self._credential is not None:
-            if not self._credential.allows_zone(target):
-                raise CertificateError(
-                    f"certificate scope {self._credential.scope} does not "
-                    f"allow publishing into {target}"
-                )
-            assert self._bucket is not None
-            if not self._bucket.try_take(self.now):
-                self._m_flow_control.inc()
-                self.trace.record(
-                    "flow-control", publisher=item.publisher, item=str(item.item_id)
-                )
-                raise FlowControlError(
-                    f"publisher {item.publisher!r} exceeded its certified rate"
-                )
-        if self._publisher_secret is not None:
-            item = item.signed(self._publisher_secret)
+        # Both callers passed _check_credential, so the credential, its
+        # bucket and its signing secret are installed.
+        assert self._credential is not None and self._bucket is not None
+        assert self._publisher_secret is not None
+        if not self._credential.allows_zone(target):
+            raise CertificateError(
+                f"certificate scope {self._credential.scope} does not "
+                f"allow publishing into {target}"
+            )
+        if not self._bucket.try_take(self.now):
+            self._m_flow_control.inc()
+            self.trace.record(
+                "flow-control", publisher=item.publisher, item=str(item.item_id)
+            )
+            raise FlowControlError(
+                f"publisher {item.publisher!r} exceeded its certified rate"
+            )
+        item = item.signed(self._publisher_secret)
         self.publish(
             item.subject,
             item,
@@ -228,9 +232,7 @@ class NewsWireNode(PubSubNode):
         self.cache.insert(payload, self.now)
 
     def _authentic(self, item: NewsItem) -> bool:
-        """Verify the publisher signature when certificates are required."""
-        if not self.config.publisher.require_certificates:
-            return True
+        """Verify the publisher signature against the keychain."""
         if item.publisher not in self.keychain:
             return False
         try:
@@ -246,7 +248,7 @@ class NewsWireNode(PubSubNode):
         subjects = tuple(sorted({s.subject for s in self.subscriptions}))
         self.send(
             peer,
-            StateTransferRequest(subjects, self.config.cache.state_transfer_items),
+            StateTransferRequest(subjects, STATE_TRANSFER_ITEMS),
         )
 
     def on_message(self, sender: NodeId, message: Any) -> None:

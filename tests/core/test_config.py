@@ -8,7 +8,6 @@ from repro.core.config import (
     GossipConfig,
     MulticastConfig,
     NewsWireConfig,
-    PublisherConfig,
 )
 from repro.core.errors import ConfigurationError
 
@@ -63,7 +62,7 @@ class TestMulticastConfig:
         {"forwarding_delay": -0.1},
         {"max_send_rate": 0},
         {"repair_interval": 0},
-        {"dedup_capacity": 0},
+        {"send_to_representatives": 0},
         {"repair_buffer_capacity": 0},
         {"cross_zone_repair_probability": 1.5},
     ])
@@ -77,15 +76,11 @@ class TestCacheAndPublisher:
         CacheConfig().validate()
 
     @pytest.mark.parametrize("kwargs", [
-        {"capacity": 0}, {"max_age": 0}, {"state_transfer_items": -1},
+        {"capacity": 0}, {"max_age": 0}, {"max_age": -1.0},
     ])
     def test_cache_invalid(self, kwargs):
         with pytest.raises(ConfigurationError):
             CacheConfig(**kwargs).validate()
-
-    def test_publisher_rate_positive(self):
-        with pytest.raises(ConfigurationError):
-            PublisherConfig(max_publish_rate=0).validate()
 
 
 class TestNewsWireConfig:

@@ -56,19 +56,11 @@ class TestInsertion:
         assert not cache.insert(item(1, 1), 1.0)
         assert cache.stats.stale_revisions == 1
 
-    def test_fusion_disabled_keeps_replacing_behavior_off(self):
-        cache = MessageCache(CacheConfig(fuse_revisions=False))
-        cache.insert(item(1, 0), 0.0)
-        assert cache.insert(item(1, 1), 1.0)
-        # Without fusion the new revision replaces by story key anyway
-        # (one entry per story), but stats register no fuse.
-        assert cache.stats.fused == 0
-
-    def test_replaced_revision_is_gone_without_fusion(self):
-        """Regression: the replaced id used to stay in the id index, so
-        ``get`` answered it with the new revision and, once the entry
-        was evicted, ``in`` still said yes and ``get`` raised."""
-        cache = MessageCache(CacheConfig(fuse_revisions=False, capacity=1))
+    def test_fused_revision_is_gone_after_eviction(self):
+        """A fused-away revision leaves the id index: ``in`` and ``get``
+        answer neither it nor, once the story is evicted, its
+        successor."""
+        cache = MessageCache(CacheConfig(capacity=1))
         old, new = item(1, 0), item(1, 1)
         cache.insert(old, 0.0)
         assert cache.insert(new, 1.0)
@@ -185,8 +177,8 @@ class _LegacyCachedItem:
 
 class LegacyMessageCache:
     """The ``OrderedDict`` cache the plain dict replaced, kept verbatim
-    except for one line: a revision replaced without fusion leaves the
-    id index, the regression fixed alongside."""
+    except that revisions are always fused (fusion stopped being
+    optional)."""
 
     def __init__(self, config):
         self.config = config
@@ -197,7 +189,7 @@ class LegacyMessageCache:
     def insert(self, item, now):
         key = item.story_key
         cached = self._entries.get(key)
-        if cached is not None and self.config.fuse_revisions:
+        if cached is not None:
             if cached.item.revision >= item.revision:
                 if cached.item.item_id == item.item_id:
                     self.stats.duplicates += 1
@@ -207,11 +199,6 @@ class LegacyMessageCache:
             del self._by_id[cached.item.item_id]
             del self._entries[key]
             self.stats.fused += 1
-        elif cached is not None and cached.item.item_id == item.item_id:
-            self.stats.duplicates += 1
-            return False
-        elif cached is not None:
-            del self._by_id[cached.item.item_id]  # the fix
         self._entries[key] = _LegacyCachedItem(item, now)
         self._by_id[item.item_id] = key
         self.stats.inserted += 1
@@ -246,7 +233,6 @@ class LegacyMessageCache:
 @given(
     st.integers(1, 5),
     st.floats(1.0, 20.0),
-    st.booleans(),
     st.lists(
         st.one_of(
             st.tuples(
@@ -260,8 +246,8 @@ class LegacyMessageCache:
         max_size=50,
     ),
 )
-def test_matches_the_ordered_dict_cache(capacity, max_age, fuse, ops):
-    config = CacheConfig(capacity=capacity, max_age=max_age, fuse_revisions=fuse)
+def test_matches_the_ordered_dict_cache(capacity, max_age, ops):
+    config = CacheConfig(capacity=capacity, max_age=max_age)
     cache, legacy = MessageCache(config), LegacyMessageCache(config)
     seen = set()
     for op in ops:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import NewsWireConfig, PublisherConfig
+from repro.core.config import NewsWireConfig
 from repro.core.errors import CertificateError, FlowControlError, PublishError
 from repro.core.identifiers import ItemId, ZonePath
 from repro.multicast.messages import Envelope
@@ -31,12 +31,6 @@ class TestPublishingRules:
         uncertified = system.subscribers[0]
         with pytest.raises(PublishError):
             uncertified.publish_news(SUBJECT, "nope")
-
-    def test_publish_without_certs_when_not_required(self):
-        system = build(publisher=PublisherConfig(require_certificates=False))
-        node = system.subscribers[0]
-        item = node.publish_news(SUBJECT, "free for all")
-        assert item.publisher == str(node.node_id)
 
     def test_flow_control_enforced(self):
         system = build(publisher_rate=5.0)
