@@ -216,7 +216,7 @@ def build_astrolabe(
             ingress_bandwidth=ingress_bandwidth,
             trace=trace,
         )
-        runtime = SimRuntime(sim, network, trace=trace)
+        runtime = SimRuntime(sim, network)
         failures = FailureInjector(sim, network)
     elif isinstance(runtime, str):
         raise ConfigurationError(
@@ -240,8 +240,6 @@ def build_astrolabe(
             sinks=sinks,
             metrics=metrics,
         )
-        if getattr(runtime, "trace", None) is None:
-            runtime.trace = trace
     if keychain is None:
         keychain = KeyChain()
     if ADMIN_PRINCIPAL not in keychain:

@@ -300,7 +300,6 @@ async def _worker_main(
     )
     sink = _DeliverySink()
     trace = TraceLog(runtime, kinds={"deliver"}, sinks=[sink])
-    runtime.trace = trace
 
     local: Dict[int, NewsWireNode] = {}
     for index in worker_indices(spec, worker):

@@ -169,12 +169,10 @@ class AsyncioUdpRuntime:
         seed: int = 0,
         address_book: Optional[Dict[str, Tuple[str, int]]] = None,
         epoch: Optional[float] = None,
-        trace=None,
         max_datagram: int = MAX_DATAGRAM,
     ):
         self.seed = seed
         self.rngs = RngRegistry(seed)
-        self.trace = trace
         self.max_datagram = max_datagram
         self.address_book: Dict[str, Tuple[str, int]] = dict(address_book or {})
         self.stats = NetworkStats()
@@ -368,13 +366,6 @@ class AsyncioUdpRuntime:
                 f"[repro.runtime] handler error at {dst}: {exc!r}",
                 file=sys.stderr,
             )
-
-    # -- tracing ---------------------------------------------------------
-
-    def emit(self, kind: str, **fields: Any) -> None:
-        trace = self.trace
-        if trace is not None:
-            trace.record(kind, **fields)
 
     def __repr__(self) -> str:
         return (

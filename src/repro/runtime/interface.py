@@ -9,7 +9,7 @@ instead of the simulator directly:
 * :class:`Transport` — ``send`` with an ``on_message`` callback per
   registered handler, and an address book (``node_ids``);
 * :class:`Runtime` — clock + transport + deterministic named RNG
-  streams + trace-sink ``emit``.
+  streams.
 
 Two implementations ship: :class:`repro.runtime.sim.SimRuntime` binds
 the contracts to the discrete-event engine (byte-identical to calling
@@ -169,6 +169,3 @@ class Runtime(Clock, Transport, Protocol):
         """The named deterministic random stream."""
         ...
 
-    def emit(self, kind: str, **fields: Any) -> None:
-        """Record a trace event on the attached sink, if any."""
-        ...

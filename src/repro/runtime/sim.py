@@ -13,7 +13,7 @@ the golden fixed-seed fingerprints identical across the refactor
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 from repro.core.identifiers import NodeId
 from repro.sim.engine import Simulation
@@ -25,42 +25,16 @@ __all__ = ["SimRuntime"]
 class SimRuntime:
     """Clock + transport + RNG over a :class:`Simulation` and :class:`Network`.
 
-    Usually constructed by the deployment builders; standalone use::
-
-        runtime = SimRuntime(seed=7)          # owns a fresh sim + network
-        runtime = SimRuntime(sim, network)    # wraps existing objects
+    Constructed by the deployment builders (and the baselines) over a
+    simulation and network they own: ``SimRuntime(sim, network)``.
     """
 
     kind = "sim"
 
-    def __init__(
-        self,
-        sim: Optional[Simulation] = None,
-        network: Optional[Network] = None,
-        *,
-        seed: int = 0,
-        latency=None,
-        loss_rate: float = 0.0,
-        bandwidth: Optional[float] = None,
-        ingress_bandwidth: Optional[float] = None,
-        trace=None,
-    ):
-        if sim is None:
-            sim = Simulation(seed=seed)
-        if network is None:
-            network = Network(
-                sim,
-                latency=latency,
-                loss_rate=loss_rate,
-                bandwidth=bandwidth,
-                ingress_bandwidth=ingress_bandwidth,
-                trace=trace,
-            )
+    def __init__(self, sim: Simulation, network: Network):
         self.sim = sim
         self.network = network
         self.seed = sim.seed
-        #: Optional TraceLog used by :meth:`emit`; builders attach theirs.
-        self.trace = trace if trace is not None else getattr(network, "trace", None)
         # Bound-method delegation: identical call paths to the bare engine.
         self.call_at = sim.call_at
         self.call_after = sim.call_after
@@ -94,13 +68,6 @@ class SimRuntime:
 
     def node_stats(self, node_id: NodeId) -> NodeStats:
         return self.network.node_stats(node_id)
-
-    # -- tracing ---------------------------------------------------------
-
-    def emit(self, kind: str, **fields: Any) -> None:
-        trace = self.trace
-        if trace is not None:
-            trace.record(kind, **fields)
 
     def __repr__(self) -> str:
         return f"SimRuntime(seed={self.seed}, now={self.now:.3f})"

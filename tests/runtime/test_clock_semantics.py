@@ -16,14 +16,21 @@ import pytest
 from repro.core.errors import SimulationError
 from repro.runtime.asyncio_udp import AsyncioUdpRuntime
 from repro.runtime.sim import SimRuntime
+from repro.sim.engine import Simulation
+from repro.sim.network import Network
 
 #: One simulated second is compressed to this many wall seconds when a
 #: scenario replays on the live runtime.
 SCALE = 0.02
 
 
+def sim_runtime(seed: int) -> SimRuntime:
+    sim = Simulation(seed=seed)
+    return SimRuntime(sim, Network(sim))
+
+
 def run_on_sim(scenario, horizon: float = 20.0):
-    runtime = SimRuntime(seed=1)
+    runtime = sim_runtime(1)
     finish = scenario(runtime, 1.0)
     runtime.run_for(horizon)
     return finish()
@@ -170,7 +177,7 @@ class TestCallAtAsymmetry:
     """The one documented contract divergence between the runtimes."""
 
     def test_sim_rejects_past_deadline(self):
-        runtime = SimRuntime(seed=1)
+        runtime = sim_runtime(1)
         runtime.run_for(5.0)
         with pytest.raises(SimulationError):
             runtime.call_at(1.0, lambda: None)
@@ -190,9 +197,9 @@ class TestCallAtAsymmetry:
         assert asyncio.run(main()) == ["late"]
 
     def test_both_reject_non_finite_deadline(self):
-        sim_runtime = SimRuntime(seed=1)
+        runtime = sim_runtime(1)
         with pytest.raises(SimulationError):
-            sim_runtime.call_at(float("inf"), lambda: None)
+            runtime.call_at(float("inf"), lambda: None)
 
         async def main():
             runtime = AsyncioUdpRuntime(seed=1)

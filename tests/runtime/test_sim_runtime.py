@@ -9,7 +9,6 @@ from repro.runtime.interface import Runtime
 from repro.runtime.sim import SimRuntime
 from repro.sim.engine import Simulation
 from repro.sim.network import Network
-from repro.sim.trace import TraceLog
 
 
 class Recorder:
@@ -24,16 +23,14 @@ class Recorder:
         self.inbox.append((sender, message))
 
 
+def sim_runtime(seed: int) -> SimRuntime:
+    sim = Simulation(seed=seed)
+    return SimRuntime(sim, Network(sim))
+
+
 def test_satisfies_runtime_protocol():
-    assert isinstance(SimRuntime(seed=1), Runtime)
-    assert SimRuntime(seed=1).kind == "sim"
-
-
-def test_builds_own_simulation_when_none_given():
-    runtime = SimRuntime(seed=7)
-    assert runtime.sim.seed == 7
-    assert runtime.seed == 7
-    assert runtime.now == 0.0
+    assert isinstance(sim_runtime(1), Runtime)
+    assert sim_runtime(1).kind == "sim"
 
 
 def test_wraps_existing_simulation_and_network():
@@ -42,6 +39,7 @@ def test_wraps_existing_simulation_and_network():
     runtime = SimRuntime(sim, network)
     assert runtime.sim is sim
     assert runtime.network is network
+    assert runtime.seed == 3 and runtime.now == 0.0
     # Delegation is by bound method: scheduling through the runtime is
     # indistinguishable from scheduling on the simulation directly.
     assert runtime.call_after.__self__ is sim
@@ -49,7 +47,7 @@ def test_wraps_existing_simulation_and_network():
 
 
 def test_transport_round_trip():
-    runtime = SimRuntime(seed=1)
+    runtime = sim_runtime(1)
     alice = Recorder(ZonePath(("alice",)))
     bob = Recorder(ZonePath(("bob",)))
     runtime.register(alice)
@@ -67,34 +65,15 @@ def test_transport_round_trip():
 
 
 def test_rng_streams_are_named_and_stable():
-    runtime = SimRuntime(seed=5)
+    runtime = sim_runtime(5)
     first = runtime.rng("gossip").random()
     assert runtime.rng("gossip") is runtime.rng("gossip")
-    other = SimRuntime(seed=5)
+    other = sim_runtime(5)
     assert other.rng("gossip").random() == pytest.approx(first)
 
 
-def test_emit_routes_to_trace():
-    sim = Simulation(seed=1)
-    trace = TraceLog(sim, kinds={"ping"})
-    network = Network(sim, trace=trace)
-    runtime = SimRuntime(sim, network, trace=trace)
-    runtime.emit("ping", value=1)
-    assert trace.count("ping") == 1
-    # No trace attached: emit is a no-op, not an error.
-    SimRuntime(seed=1).emit("ping", value=2)
-
-
-def test_trace_defaults_to_network_trace():
-    sim = Simulation(seed=1)
-    trace = TraceLog(sim)
-    network = Network(sim, trace=trace)
-    runtime = SimRuntime(sim, network)
-    assert runtime.trace is trace
-
-
 def test_run_passthroughs_advance_virtual_time():
-    runtime = SimRuntime(seed=1)
+    runtime = sim_runtime(1)
     ticks = []
     runtime.call_after(2.0, ticks.append, "a")
     runtime.call_after(4.0, ticks.append, "b")
