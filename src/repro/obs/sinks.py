@@ -295,27 +295,19 @@ class StreamingSink:
     integers.  What it keeps:
 
     * per-kind event counts;
-    * a latency histogram over ``latency_kind`` events (approximate
+    * a latency histogram over ``deliver`` events (approximate
       percentiles, exact count/mean/min/max);
     * per-item delivery counts (delivery-ratio numerators);
-    * per-node delivery counts and per-target forward counts (the
-      trace-level send/recv view; wire-level byte counters live in
+    * per-node delivery counts (the trace-level receive view;
+      wire-level byte counters live in
       :meth:`repro.sim.network.Network.node_stats`).
     """
 
-    def __init__(
-        self,
-        latency_kind: str = "deliver",
-        forward_kind: str = "forward",
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ):
-        self.latency_kind = latency_kind
-        self.forward_kind = forward_kind
+    def __init__(self) -> None:
         self.counts: Dict[str, int] = {}
-        self.latency = HistogramData(buckets)
+        self.latency = HistogramData(DEFAULT_BUCKETS)
         self.deliveries_per_item: Dict[str, int] = {}
         self.deliveries_per_node: Dict[str, int] = {}
-        self.forwards_per_target: Dict[str, int] = {}
         self.first_time: Optional[float] = None
         self.last_time: Optional[float] = None
         self.events_seen = 0
@@ -326,7 +318,7 @@ class StreamingSink:
             self.first_time = time
         self.last_time = time
         self.counts[kind] = self.counts.get(kind, 0) + 1
-        if kind == self.latency_kind:
+        if kind == "deliver":
             latency = fields.get("latency")
             if latency is not None:
                 self.latency.observe(latency)
@@ -340,17 +332,11 @@ class StreamingSink:
                 self.deliveries_per_node[node] = (
                     self.deliveries_per_node.get(node, 0) + 1
                 )
-        elif kind == self.forward_kind:
-            target = fields.get("to")
-            if target is not None:
-                self.forwards_per_target[target] = (
-                    self.forwards_per_target.get(target, 0) + 1
-                )
 
     def emit_many(self, kind: str, events: TraceBatch) -> None:
         """``emit`` for a same-kind batch: the per-kind bookkeeping once,
         the per-event bumps in event order (float sums stay bit-equal)."""
-        if not events or kind != self.latency_kind:
+        if not events or kind != "deliver":
             for time, fields in events:
                 self.emit(time, kind, fields)
             return
@@ -385,19 +371,9 @@ class StreamingSink:
     def merge(self, other: "StreamingSink") -> None:
         """Fold another sink's aggregates in (parallel-worker merge).
 
-        Both sinks must watch the same kinds and share histogram
-        bounds; merging in canonical cell order keeps the combined
-        aggregates identical to one sink observing the whole run.
+        Merging in canonical cell order keeps the combined aggregates
+        identical to one sink observing the whole run.
         """
-        if (
-            other.latency_kind != self.latency_kind
-            or other.forward_kind != self.forward_kind
-        ):
-            raise ValueError(
-                "cannot merge StreamingSinks watching different kinds: "
-                f"({self.latency_kind!r}, {self.forward_kind!r}) vs "
-                f"({other.latency_kind!r}, {other.forward_kind!r})"
-            )
         self.events_seen += other.events_seen
         for kind, count in other.counts.items():
             self.counts[kind] = self.counts.get(kind, 0) + count
@@ -410,10 +386,6 @@ class StreamingSink:
             self.deliveries_per_node[node] = (
                 self.deliveries_per_node.get(node, 0) + count
             )
-        for target, count in other.forwards_per_target.items():
-            self.forwards_per_target[target] = (
-                self.forwards_per_target.get(target, 0) + count
-            )
         if other.first_time is not None and (
             self.first_time is None or other.first_time < self.first_time
         ):
@@ -425,10 +397,9 @@ class StreamingSink:
 
     def clear(self) -> None:
         self.counts.clear()
-        self.latency = HistogramData(self.latency.bounds)
+        self.latency = HistogramData(DEFAULT_BUCKETS)
         self.deliveries_per_item.clear()
         self.deliveries_per_node.clear()
-        self.forwards_per_target.clear()
         self.first_time = None
         self.last_time = None
         self.events_seen = 0

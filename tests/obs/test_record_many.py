@@ -51,7 +51,6 @@ def streaming_state(sink):
         sink.as_dict(),
         sink.deliveries_per_item,
         sink.deliveries_per_node,
-        sink.forwards_per_target,
         sink.latency.counts,
         sink.latency.total,
     )

@@ -47,7 +47,7 @@ class TestStreamingSink:
         assert sum(sink.deliveries_per_item.values()) == 50
         assert len(sink.deliveries_per_item) == 10
         assert len(sink.deliveries_per_node) == 5
-        assert sink.forwards_per_target == {"/z0/n1": 1}
+        assert sink.count("forward") == 1
         assert sink.count("deliver") == 50
         assert sink.first_time is not None
 
