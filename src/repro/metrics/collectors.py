@@ -31,7 +31,6 @@ class DeliveryStats:
     (bucket-interpolated) but ``per_item`` / ``per_node`` stay exact.
     """
 
-    kind: str
     source: str  # "memory" | "streaming" | "empty"
     latencies: list[float] = field(default_factory=list)
     per_item: Dict[str, int] = field(default_factory=dict)
@@ -43,8 +42,8 @@ class DeliveryStats:
         return sum(self.per_item.values())
 
 
-def collect_delivery_stats(trace: TraceLog, kind: str = "deliver") -> DeliveryStats:
-    """One shared pass over ``kind`` events (or sink aggregates).
+def collect_delivery_stats(trace: TraceLog) -> DeliveryStats:
+    """One shared pass over ``deliver`` events (or sink aggregates).
 
     Preference order: retained memory events (exact), then a
     :class:`StreamingSink`'s aggregates (approximate summary, exact
@@ -55,7 +54,7 @@ def collect_delivery_stats(trace: TraceLog, kind: str = "deliver") -> DeliverySt
         latencies: list[float] = []
         per_item: Dict[str, int] = {}
         per_node: Dict[str, int] = {}
-        for event in trace.events(kind):
+        for event in trace.events("deliver"):
             latency = event.get("latency")
             if latency is not None:
                 latencies.append(latency)
@@ -66,7 +65,6 @@ def collect_delivery_stats(trace: TraceLog, kind: str = "deliver") -> DeliverySt
             if node is not None:
                 per_node[node] = per_node.get(node, 0) + 1
         return DeliveryStats(
-            kind=kind,
             source="memory",
             latencies=latencies,
             per_item=per_item,
@@ -75,7 +73,7 @@ def collect_delivery_stats(trace: TraceLog, kind: str = "deliver") -> DeliverySt
         )
 
     streaming = trace.streaming_sink()
-    if streaming is not None and streaming.latency_kind == kind:
+    if streaming is not None:
         histogram = streaming.latency
         summary = Summary(
             count=histogram.count,
@@ -87,34 +85,32 @@ def collect_delivery_stats(trace: TraceLog, kind: str = "deliver") -> DeliverySt
             maximum=histogram.maximum if histogram.count else 0.0,
         )
         return DeliveryStats(
-            kind=kind,
             source="streaming",
             per_item=dict(streaming.deliveries_per_item),
             per_node=dict(streaming.deliveries_per_node),
             summary=summary,
         )
 
-    return DeliveryStats(kind=kind, source="empty")
+    return DeliveryStats(source="empty")
 
 
-def delivery_latencies(trace: TraceLog, kind: str = "deliver") -> list[float]:
+def delivery_latencies(trace: TraceLog) -> list[float]:
     """Publish→deliver latencies recorded in the trace.
 
     Exact values need retained events; with streaming-only sinks this
     is empty — use :func:`collect_delivery_stats` for the approximate
     summary instead.
     """
-    return collect_delivery_stats(trace, kind).latencies
+    return collect_delivery_stats(trace).latencies
 
 
-def latency_summary(trace: TraceLog, kind: str = "deliver") -> Summary:
-    return collect_delivery_stats(trace, kind).summary
+def latency_summary(trace: TraceLog) -> Summary:
+    return collect_delivery_stats(trace).summary
 
 
 def delivery_ratio(
     trace: TraceLog,
     expected: Dict[str, int],
-    kind: str = "deliver",
     stats: Optional[DeliveryStats] = None,
 ) -> float:
     """Delivered / expected across items (``expected``: item -> count).
@@ -123,13 +119,13 @@ def delivery_ratio(
     collectors.
     """
     if stats is None:
-        stats = collect_delivery_stats(trace, kind)
+        stats = collect_delivery_stats(trace)
     total_expected = sum(expected.values())
     if stats.source == "empty":
         # No aggregating sink attached: fall back to the always-on
-        # kind counter.  Over-delivery can't be capped per item from a
+        # deliver counter.  Over-delivery can't be capped per item from a
         # bare total, so cap at the aggregate expectation instead.
-        return ratio(min(trace.count(kind), total_expected), total_expected)
+        return ratio(min(trace.count("deliver"), total_expected), total_expected)
     delivered = stats.per_item
     total_delivered = sum(
         min(delivered.get(item, 0), want) for item, want in expected.items()
