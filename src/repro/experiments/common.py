@@ -62,6 +62,9 @@ def validate_seed(value) -> None:
 # Standard system construction
 # ----------------------------------------------------------------------
 
+#: ``SystemSpec.publisher_rate`` unless a runner asks for another.
+DEFAULT_PUBLISHER_RATE = 50.0
+
 #: The ``build_newswire`` parameters ``SystemSpec.network`` may carry.
 NETWORK_KEYS = ("loss_rate", "bandwidth", "ingress_bandwidth")
 
@@ -88,7 +91,9 @@ class SystemSpec:
     seed: int = 0
     interest_seed: Optional[int] = None
     publisher_names: Sequence[str] = ("newswire",)
-    publisher_rate: float = 50.0
+    #: Certified items/second per publisher; the columnar backend has
+    #: no flow control and refuses any other value.
+    publisher_rate: float = DEFAULT_PUBLISHER_RATE
     config: Optional[NewsWireConfig] = None
     sinks: Optional[Sequence[TraceSink]] = field(default=None, compare=False)
     #: State representation: "object" (default) is the faithful
@@ -136,6 +141,11 @@ class SystemSpec:
                 "the columnar backend models no network shaping; "
                 f"drop {sorted(self.network)} or use backend='object'"
             )
+        if self.publisher_rate != DEFAULT_PUBLISHER_RATE and self.backend == "columnar":
+            raise ConfigurationError(
+                "the columnar backend models no publisher flow control; "
+                f"drop publisher_rate={self.publisher_rate} or use backend='object'"
+            )
         return self
 
 
@@ -166,7 +176,6 @@ def build_system(spec: SystemSpec) -> tuple:
     config = spec.config if spec.config is not None else NewsWireConfig()
     population = dict(
         publisher_names=tuple(spec.publisher_names),
-        publisher_rate=spec.publisher_rate,
         subscriptions_for=subscriptions_for,
         seed=spec.seed,
         sinks=spec.sinks,
@@ -179,7 +188,11 @@ def build_system(spec: SystemSpec) -> tuple:
         system = build_columnar(spec.num_nodes, config, **population)
     else:
         system = build_newswire(
-            spec.num_nodes, config, **population, **spec.network
+            spec.num_nodes,
+            config,
+            publisher_rate=spec.publisher_rate,
+            **population,
+            **spec.network,
         )
     system.run_for(spec.settle_rounds * config.gossip.interval)
     return system, interests

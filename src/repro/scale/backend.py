@@ -450,7 +450,6 @@ def build_columnar(
     config: Optional[NewsWireConfig] = None,
     *,
     publisher_names: Sequence[str] = ("newswire",),
-    publisher_rate: float = 50.0,
     subscriptions_for: Optional[Callable[[int], Sequence[Subscription]]] = None,
     seed: int = 0,
     sinks: Optional[Sequence[TraceSink]] = None,
@@ -463,13 +462,12 @@ def build_columnar(
     parameters the experiment runners use: the first
     ``len(publisher_names)`` nodes double as publishers and
     ``subscriptions_for(index)`` seeds each node's interests before
-    the time-zero aggregate build.  ``publisher_rate`` is accepted for
-    interface parity but unenforced (no flow-control model here).
+    the time-zero aggregate build.  Publishers are not rate limited
+    (no flow-control model here), so there is no ``publisher_rate``.
     """
     config = (config or NewsWireConfig()).validate()
     if num_nodes <= 0:
         raise ConfigurationError("num_nodes must be positive")
-    del publisher_rate  # interface parity only
 
     sim = Simulation(seed=seed)
     trace = TraceLog(

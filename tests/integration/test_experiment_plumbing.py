@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.config import NewsWireConfig
-from repro.core.errors import ConfigurationError
+from repro.core.errors import ConfigurationError, FlowControlError
 from repro.core.identifiers import ItemId
 from repro.experiments import (
     ExperimentConfig,
@@ -250,6 +250,19 @@ class TestBuildSystem:
             build_system(
                 SystemSpec(num_nodes=12, subjects=("a/b",), network={"runtime": None})
             )
+
+    def test_publisher_rate_reaches_the_object_backend_only(self):
+        """The columnar backend has no flow control, so a rate it would
+        silently ignore is refused instead."""
+        spec = SystemSpec(num_nodes=12, subjects=("a/b",), publisher_rate=3.0)
+        system, _ = build_system(spec)
+        publisher = system.publisher("newswire")
+        for index in range(3):
+            publisher.publish_news("a/b", f"h{index}")
+        with pytest.raises(FlowControlError):
+            publisher.publish_news("a/b", "over the certified rate")
+        with pytest.raises(ConfigurationError, match="publisher_rate=3.0"):
+            build_system(dataclasses.replace(spec, backend="columnar"))
 
 
 class TestE3Workload:
