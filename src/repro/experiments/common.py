@@ -299,6 +299,23 @@ def drive_trace(
     return stats
 
 
+def receiver_indices(
+    interests: InterestModel, num_nodes: int, subject: str
+) -> list[int]:
+    """Indices of the nodes among the first ``num_nodes`` that should
+    receive an item on ``subject``: some subscription matches it by the
+    leaf's own subject test (:meth:`Subscription.matches_subject`,
+    wildcards included; predicates ignored)."""
+    return [
+        index
+        for index in range(num_nodes)
+        if any(
+            subscription.matches_subject(subject)
+            for subscription in interests.subscriptions_for(index)
+        )
+    ]
+
+
 def expected_deliveries(
     interests: InterestModel,
     num_nodes: int,
@@ -308,16 +325,17 @@ def expected_deliveries(
     """item-id string -> expected receiver count for a driven trace.
 
     Assumes serials are assigned in trace order starting at 1 (true
-    when flow control never fires) and that *subject* matching defines
-    expectation; predicate-based narrowing is handled by the specific
-    experiments that use predicates.
+    when flow control never fires) and that *subject* matching
+    (:func:`receiver_indices`) defines expectation; predicate-based
+    narrowing is handled by the specific experiments that use
+    predicates.
     """
     by_subject: Dict[str, int] = {}
     expected: Dict[str, int] = {}
     for serial, publication in enumerate(trace, start=1):
         count = by_subject.get(publication.subject)
         if count is None:
-            count = interests.expected_receivers(num_nodes, publication.subject)
+            count = len(receiver_indices(interests, num_nodes, publication.subject))
             by_subject[publication.subject] = count
         expected[str(ItemId(publisher_name, serial))] = count
     return expected
@@ -331,7 +349,8 @@ def expected_delivery_nodes(
 ) -> Dict[str, set[str]]:
     """item-id string -> the *node names* expected to deliver it.
 
-    The set-valued sibling of :func:`expected_deliveries`, consumed by
+    The set-valued sibling of :func:`expected_deliveries` (same
+    :func:`receiver_indices` rule), consumed by
     :meth:`repro.obs.causal.CausalSink.expect` so loss attribution can
     name the exact subscribers an item failed to reach.  Relies on the
     build invariant that ``deployment.agents[i]`` received
@@ -345,10 +364,8 @@ def expected_delivery_nodes(
         if nodes is None:
             nodes = {
                 str(agents[index].node_id)
-                for index in range(len(agents))
-                if any(
-                    subscription.matches_subject(publication.subject)
-                    for subscription in interests.subscriptions_for(index)
+                for index in receiver_indices(
+                    interests, len(agents), publication.subject
                 )
             }
             by_subject[publication.subject] = nodes

@@ -142,21 +142,3 @@ class InterestModel:
                 derive_rng(self.seed, index)
             )
         return result
-
-    def subscriber_counts(self, num_nodes: int) -> Dict[str, int]:
-        """How many of ``num_nodes`` subscribe to each subject."""
-        counts: Dict[str, int] = {subject: 0 for subject in self.subjects}
-        for index in range(num_nodes):
-            for subscription in self.subscriptions_for(index):
-                counts[subscription.subject] += 1
-        return counts
-
-    def expected_receivers(self, num_nodes: int, subject: str) -> int:
-        """Subscribers whose *subject* matches (ignores predicates)."""
-        return sum(
-            1
-            for index in range(num_nodes)
-            if any(
-                s.subject == subject for s in self.subscriptions_for(index)
-            )
-        )

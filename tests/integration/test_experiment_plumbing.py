@@ -26,8 +26,10 @@ from repro.experiments.common import (
     build_system,
     drive_trace,
     expected_deliveries,
+    expected_delivery_nodes,
     item_from_publication,
     publish_at_origin,
+    receiver_indices,
     story_trace,
     validate_fraction,
     validate_non_negative,
@@ -75,6 +77,41 @@ class TestCommonHelpers:
         expected = expected_deliveries(interests, 20, trace, "pub")
         assert set(expected) == {"pub:1.r0", "pub:2.r0"}
         assert sum(expected.values()) == 20  # one subscription each
+
+    def test_expected_counts_and_nodes_share_the_leaf_rule(self):
+        """Regression: ``expected_deliveries`` counted exact subject
+        matches while ``expected_delivery_nodes`` used the leaf's
+        wildcard-aware test, so a ``news/*`` subscriber was expected by
+        one and not the other (12 against 49 nodes here)."""
+        interests = InterestModel(
+            ("news/*", "news/a", "news/b"), subscriptions_per_node=1, seed=0
+        )
+        system = build_newswire(
+            60,
+            NewsWireConfig(branching_factor=6),
+            publisher_names=("p",),
+            subscriptions_for=interests.subscriptions_for,
+            seed=0,
+            start=False,
+        )
+        trace = [Publication(time=1.0, subject="news/a", headline="x", body_words=10)]
+        leaf = {
+            str(node.node_id)
+            for node in system.nodes
+            if any(s.matches("news/a", {}) for s in node.subscriptions)
+        }
+        exact = sum(
+            any(s.subject == "news/a" for s in interests.subscriptions_for(index))
+            for index in range(60)
+        )
+        assert exact < len(leaf)
+        assert expected_delivery_nodes(interests, system, trace, "p") == {"p:1.r0": leaf}
+        assert expected_deliveries(interests, 60, trace, "p") == {"p:1.r0": len(leaf)}
+        assert receiver_indices(interests, 60, "news/a") == [
+            index
+            for index, node in enumerate(system.deployment.agents)
+            if str(node.node_id) in leaf
+        ]
 
     def test_drive_trace_counts_flow_control(self):
         system = build_newswire(

@@ -1,6 +1,7 @@
 """Tests for subscriber interest models."""
 
 import random
+from collections import Counter
 from itertools import accumulate
 
 import pytest
@@ -48,24 +49,10 @@ class TestInterestModel:
     def test_zipf_skews_popularity(self):
         model = InterestModel(SUBJECTS, subscriptions_per_node=1,
                               zipf_exponent=1.5, seed=1)
-        counts = model.subscriber_counts(500)
+        counts = Counter(
+            s.subject for index in range(500) for s in model.subscriptions_for(index)
+        )
         assert counts["s0"] > counts["s9"] * 3
-
-    def test_subscriber_counts_sum(self):
-        model = InterestModel(SUBJECTS, subscriptions_per_node=2, seed=1)
-        counts = model.subscriber_counts(100)
-        assert sum(counts.values()) == 200
-
-    def test_expected_receivers(self):
-        model = InterestModel(SUBJECTS, subscriptions_per_node=2, seed=1)
-        for subject in SUBJECTS[:3]:
-            expected = model.expected_receivers(50, subject)
-            manual = sum(
-                1 for index in range(50)
-                if any(s.subject == subject
-                       for s in model.subscriptions_for(index))
-            )
-            assert expected == manual
 
     def test_predicates_attached_probabilistically(self):
         model = InterestModel(SUBJECTS, subscriptions_per_node=2,
