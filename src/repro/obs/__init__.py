@@ -37,7 +37,6 @@ from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     Counter,
     Gauge,
-    Histogram,
     HistogramData,
     MetricsRegistry,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "CriticalPath",
     "DEFAULT_BUCKETS",
     "Gauge",
-    "Histogram",
     "HistogramData",
     "ItemTree",
     "JsonlFileSink",

@@ -1,4 +1,5 @@
-"""Counters, gauges and histograms for the protocol layers.
+"""Counters and gauges for the protocol layers, and the fixed-bucket
+histogram the streaming trace sink keeps its latencies in.
 
 A :class:`MetricsRegistry` is the streaming complement of the trace:
 where the trace records *events*, the registry accumulates *aggregates*
@@ -196,33 +197,13 @@ class HistogramData:
         return f"HistogramData(n={self.count}, mean={self.mean:.4f})"
 
 
-class Histogram:
-    """A named :class:`HistogramData` registered in a registry."""
-
-    __slots__ = ("name", "data")
-
-    def __init__(self, name: str, bounds: Sequence[float] = DEFAULT_BUCKETS):
-        self.name = name
-        self.data = HistogramData(bounds)
-
-    def observe(self, value: float) -> None:
-        self.data.observe(value)
-
-    @property
-    def count(self) -> int:
-        return self.data.count
-
-    def __repr__(self) -> str:
-        return f"Histogram({self.name}, n={self.data.count})"
-
-
-Metric = Union[Counter, Gauge, Histogram]
+Metric = Union[Counter, Gauge]
 
 
 class MetricsRegistry:
     """Named instruments shared by every layer of one deployment.
 
-    ``counter``/``gauge``/``histogram`` are get-or-create: the gossip
+    ``counter``/``gauge`` are get-or-create: the gossip
     layer and a test can both ask for ``gossip.rounds`` and get the one
     instrument.  Asking for an existing name with a different type is a
     :class:`ConfigurationError` (it would silently split the metric).
@@ -250,33 +231,20 @@ class MetricsRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._get_or_create(name, Gauge, lambda: Gauge(name))
 
-    def histogram(
-        self, name: str, bounds: Optional[Sequence[float]] = None
-    ) -> Histogram:
-        return self._get_or_create(
-            name,
-            Histogram,
-            lambda: Histogram(name, bounds if bounds is not None else DEFAULT_BUCKETS),
-        )
-
     def merge(self, other: "MetricsRegistry") -> None:
         """Fold another registry's instruments into this one.
 
         The parallel sweep executor gives every worker its own registry
         and folds them back in canonical cell order: counters add,
-        gauges take the later value (maxima combine), histograms add
-        bucket counts.  A name registered with different types on the
+        gauges take the later value (maxima combine).  A name registered with different types on the
         two sides is a :class:`ConfigurationError`.
         """
         for name in sorted(other._metrics):
             metric = other._metrics[name]
             if isinstance(metric, Counter):
                 self.counter(name).merge(metric)
-            elif isinstance(metric, Gauge):
-                self.gauge(name).merge(metric)
             else:
-                mine = self.histogram(name, metric.data.bounds)
-                mine.data.merge(metric.data)
+                self.gauge(name).merge(metric)
 
     def get(self, name: str) -> Optional[Metric]:
         return self._metrics.get(name)
@@ -300,10 +268,8 @@ class MetricsRegistry:
             metric = self._metrics[name]
             if isinstance(metric, Counter):
                 out[name] = metric.value
-            elif isinstance(metric, Gauge):
-                out[name] = {"value": metric.value, "max": metric.maximum}
             else:
-                out[name] = metric.data.as_dict()
+                out[name] = {"value": metric.value, "max": metric.maximum}
         return out
 
     def __repr__(self) -> str:

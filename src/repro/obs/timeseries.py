@@ -2,7 +2,7 @@
 
 The registry answers *"how much, in total?"*; this module answers
 *"when?"*.  A :class:`TimeSeriesRecorder` periodically samples every
-Counter / Gauge / Histogram in one registry into per-metric
+Counter / Gauge in one registry into per-metric
 :class:`RingBufferSeries` — fixed-capacity ring buffers, so a week-long
 run retains the same memory as a minute-long one.
 
@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Tuple, Union
 
 from repro.core.errors import ConfigurationError
-from repro.obs.metrics import Counter, Gauge, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "RingBufferSeries",
@@ -42,9 +42,6 @@ DEFAULT_INTERVAL = 1.0
 #: Default ring capacity per series — at the default cadence this holds
 #: the most recent ~8.5 minutes of samples in a few KiB per metric.
 DEFAULT_CAPACITY = 512
-
-#: Histogram quantiles sampled into ``<name>.p*`` series.
-HISTOGRAM_QUANTILES: Tuple[Tuple[str, float], ...] = (("p95", 0.95),)
 
 
 class RingBufferSeries:
@@ -102,9 +99,7 @@ class TimeSeriesRecorder:
     """Samples one :class:`MetricsRegistry` into ring-buffer series.
 
     Per sample and per metric: counters and gauges record their current
-    value under the metric name; histograms record ``<name>.count``,
-    ``<name>.mean`` and one ``<name>.<q>`` series per entry of
-    :data:`HISTOGRAM_QUANTILES`.  Series are created lazily, so metrics
+    value under the metric name.  Series are created lazily, so metrics
     registered mid-run simply start appearing from their first sample.
 
     As a dispatch monitor (:meth:`observe`) the recorder samples when
@@ -147,19 +142,7 @@ class TimeSeriesRecorder:
         """Snapshot every registry instrument at time ``now``."""
         self.samples += 1
         for name in self.registry.names():
-            metric = self.registry.get(name)
-            if isinstance(metric, Counter):
-                self._series(name).append(now, metric.value)
-            elif isinstance(metric, Gauge):
-                self._series(name).append(now, metric.value)
-            else:  # Histogram
-                data = metric.data  # type: ignore[union-attr]
-                self._series(f"{name}.count").append(now, data.count)
-                self._series(f"{name}.mean").append(now, data.mean)
-                for suffix, q in HISTOGRAM_QUANTILES:
-                    self._series(f"{name}.{suffix}").append(
-                        now, data.quantile(q)
-                    )
+            self._series(name).append(now, self.registry.get(name).value)
 
     def observe(
         self,

@@ -7,7 +7,6 @@ from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     Counter,
     Gauge,
-    Histogram,
     HistogramData,
     MetricsRegistry,
 )
@@ -128,11 +127,9 @@ class TestMetricsRegistry:
         registry = MetricsRegistry()
         registry.counter("c").inc(3)
         registry.gauge("g").set(2.5)
-        registry.histogram("h").observe(0.2)
         snapshot = registry.snapshot()
         assert snapshot["c"] == 3
         assert snapshot["g"] == {"value": 2.5, "max": 2.5}
-        assert snapshot["h"]["count"] == 1
 
     def test_iteration_and_names(self):
         registry = MetricsRegistry()
@@ -143,9 +140,3 @@ class TestMetricsRegistry:
         assert "a" in registry
         assert isinstance(registry.get("a"), Counter)
         assert all(isinstance(m, Counter) for m in registry)
-
-    def test_histogram_custom_bounds(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("depth", bounds=(1, 2, 4))
-        assert isinstance(hist, Histogram)
-        assert hist.data.bounds == (1, 2, 4)
