@@ -552,14 +552,6 @@ class AstrolabeAgent(Process):
     # Queries used by the layers above
     # ------------------------------------------------------------------
 
-    def contacts_of(self, zone: ZonePath, child_label: str) -> tuple[str, ...]:
-        """The elected contact node-ids of ``child_label`` within ``zone``."""
-        row = self.zone_table(zone).row(child_label)
-        if row is None:
-            return ()
-        contacts = row.get("contacts", ())
-        return contacts if isinstance(contacts, tuple) else ()
-
     def root_aggregate(self, attribute: str) -> AttributeValue:
         """This agent's current view of a root-level aggregate attribute."""
         return self.evaluate_zone(self.zones[0]).get(attribute)

@@ -148,10 +148,11 @@ class ZoneTable:
         """Symmetric in-process anti-entropy with another replica.
 
         One full digest → delta → delta exchange without serialization:
-        digests are read zero-copy and row entries are shared by
-        reference, exactly like :func:`repro.gossip.antientropy.reconcile`
-        but through the table layer so the size bound, resurrection
-        cutoff and content token stay enforced.  Batched gossip rounds
+        digests are read zero-copy (:meth:`digest_view`) and row entries
+        are shared by reference, so converged rows compare by pointer
+        identity in ``delta_for``.  Going through the table layer keeps
+        the size bound, resurrection cutoff and content token enforced.
+        Batched gossip rounds
         (``repro.scale``) call this once per scheduled replica pair in
         place of a simulated message exchange.
 

@@ -219,27 +219,3 @@ class VersionedStore(Generic[KeyT, ValueT]):
     def __repr__(self) -> str:
         return f"VersionedStore({len(self._entries)} entries)"
 
-
-def reconcile(
-    a: VersionedStore[KeyT, ValueT], b: VersionedStore[KeyT, ValueT]
-) -> tuple[list[KeyT], list[KeyT]]:
-    """Symmetric in-process anti-entropy between two replicas.
-
-    Equivalent to one full digest → delta → delta exchange — ``b``
-    ships what ``a`` lacks, then ``a`` ships what ``b`` still lacks —
-    but without serializing anything: digests are read zero-copy
-    (:meth:`VersionedStore.digest_view`) and entries are shared by
-    reference.  Thanks to entry sharing, converged keys compare by
-    pointer identity in ``delta_for``, so the steady-state cost per
-    pair is one dict equality check.
-
-    This is the primitive batched gossip rounds (``repro.scale``) use:
-    one kernel event reconciles an entire zone level by calling this
-    over the scheduled replica pairs, instead of one simulated message
-    exchange per pair.
-
-    Returns ``(changed_in_a, changed_in_b)``.
-    """
-    changed_a = a.apply_delta(b.delta_for(a.digest_view()))
-    changed_b = b.apply_delta(a.delta_for(b.digest_view()))
-    return changed_a, changed_b

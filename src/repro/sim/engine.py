@@ -404,11 +404,6 @@ class Simulation:
         """Advance the clock by ``duration`` seconds of virtual time."""
         self.run_until(self._now + duration)
 
-    def drain(self, events: Iterable[EventHandle]) -> None:
-        """Cancel a batch of handles (convenience for process teardown)."""
-        for event in events:
-            event.cancel()
-
     def __repr__(self) -> str:
         return (
             f"Simulation(now={self._now:.3f}, pending={self.pending_events}, "

@@ -1,17 +1,9 @@
-"""Additional engine coverage: drain, repr, bookkeeping."""
+"""Additional engine coverage: repr, bookkeeping."""
 
 from repro.sim.engine import Simulation
 
 
 class TestDrainAndBookkeeping:
-    def test_drain_cancels_batch(self):
-        sim = Simulation()
-        fired = []
-        handles = [sim.call_after(1.0, fired.append, i) for i in range(5)]
-        sim.drain(handles[:3])
-        sim.run()
-        assert sorted(fired) == [3, 4]
-
     def test_events_processed_counter(self):
         sim = Simulation()
         for _ in range(4):
