@@ -34,6 +34,7 @@ from pathlib import Path
 from typing import Optional
 
 from repro.experiments.registry import ExperimentConfig, RunOptions, get_spec
+from repro.metrics.report import format_table
 from repro.parallel import run_spec
 
 #: The decomposable quick sweeps the harness times.
@@ -90,26 +91,6 @@ def bench_sweeps(
     }
 
 
-def _format_table(report: dict) -> str:
-    lines = [
-        f"sweep bench: workers={report['workers']} "
-        f"cpu_count={report['cpu_count']} quick={report['quick']}",
-        f"{'experiment':>10}  {'cells':>5}  {'serial (s)':>10}  "
-        f"{'parallel (s)':>12}  {'speedup':>7}",
-    ]
-    for row in report["experiments"]:
-        lines.append(
-            f"{row['experiment']:>10}  {row['cells']:>5}  "
-            f"{row['serial_s']:>10.3f}  {row['parallel_s']:>12.3f}  "
-            f"{row['speedup']:>7.2f}"
-        )
-    lines.append(
-        f"{'total':>10}  {'':>5}  {report['serial_total_s']:>10.3f}  "
-        f"{report['parallel_total_s']:>12.3f}  {report['speedup']:>7.2f}"
-    )
-    return "\n".join(lines)
-
-
 def main(argv: Optional[list] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -135,7 +116,19 @@ def main(argv: Optional[list] = None) -> int:
     report = bench_sweeps(
         tuple(args.experiments), workers=args.workers, quick=not args.full
     )
-    print(_format_table(report))
+    rows = [
+        (row["experiment"], row["cells"], row["serial_s"], row["parallel_s"], row["speedup"])
+        for row in report["experiments"]
+    ]
+    rows.append(
+        ("total", "", report["serial_total_s"], report["parallel_total_s"], report["speedup"])
+    )
+    print(format_table(
+        ["experiment", "cells", "serial (s)", "parallel (s)", "speedup"],
+        rows,
+        title=f"sweep bench: workers={report['workers']} "
+        f"cpu_count={report['cpu_count']} quick={report['quick']}",
+    ))
     if args.output is not None:
         args.output.write_text(json.dumps(report, indent=2) + "\n")
         print(f"report -> {args.output}")
