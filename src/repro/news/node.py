@@ -185,10 +185,9 @@ class NewsWireNode(PubSubNode):
     ) -> NewsItem:
         """Sign and disseminate; returns the item as actually published."""
         target = zone if zone is not None else ZonePath()
-        # Both callers passed _check_credential, so the credential, its
-        # bucket and its signing secret are installed.
-        assert self._credential is not None and self._bucket is not None
-        assert self._publisher_secret is not None
+        # Both callers passed _check_credential, so grant_publisher has
+        # installed the credential, its bucket and its signing secret.
+        assert self._bucket is not None and self._publisher_secret is not None
         if not self._credential.allows_zone(target):
             raise CertificateError(
                 f"certificate scope {self._credential.scope} does not "

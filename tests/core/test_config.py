@@ -76,7 +76,7 @@ class TestCacheAndPublisher:
         CacheConfig().validate()
 
     @pytest.mark.parametrize("kwargs", [
-        {"capacity": 0}, {"max_age": 0}, {"max_age": -1.0},
+        {"capacity": 0}, {"max_age": 0},
     ])
     def test_cache_invalid(self, kwargs):
         with pytest.raises(ConfigurationError):
