@@ -236,8 +236,9 @@ class MetricsRegistry:
 
         The parallel sweep executor gives every worker its own registry
         and folds them back in canonical cell order: counters add,
-        gauges take the later value (maxima combine).  A name registered with different types on the
-        two sides is a :class:`ConfigurationError`.
+        gauges take the later value (maxima combine).  A name registered
+        with different types on the two sides is a
+        :class:`ConfigurationError`.
         """
         for name in sorted(other._metrics):
             metric = other._metrics[name]
