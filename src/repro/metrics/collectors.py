@@ -9,8 +9,8 @@ question (see ``docs/OBSERVABILITY.md``):
   the trace twice now share the pass;
 * with only a :class:`~repro.obs.sinks.StreamingSink` attached, the
   same collectors consume the sink's bounded-memory aggregates
-  (approximate percentiles from the histogram buckets) so large runs
-  never have to retain events at all.
+  (approximate percentiles from the histogram buckets, exact per-item
+  counts) so large runs never have to retain events at all.
 """
 
 from __future__ import annotations
@@ -28,13 +28,14 @@ class DeliveryStats:
 
     ``latencies`` is empty when the stats came from a streaming sink
     (``source == "streaming"``); ``summary`` is then approximate
-    (bucket-interpolated) but ``per_item`` / ``per_node`` stay exact.
+    (bucket-interpolated) but ``per_item`` stays exact.  Both sources
+    count deliveries per item, not per node: the state a streaming run
+    keeps is O(kinds + items + histogram buckets).
     """
 
     source: str  # "memory" | "streaming" | "empty"
     latencies: list[float] = field(default_factory=list)
     per_item: Dict[str, int] = field(default_factory=dict)
-    per_node: Dict[str, int] = field(default_factory=dict)
     summary: Summary = field(default_factory=lambda: Summary.of(()))
 
     @property
@@ -53,7 +54,6 @@ def collect_delivery_stats(trace: TraceLog) -> DeliveryStats:
     if memory is not None and memory.events:
         latencies: list[float] = []
         per_item: Dict[str, int] = {}
-        per_node: Dict[str, int] = {}
         for event in trace.events("deliver"):
             latency = event.get("latency")
             if latency is not None:
@@ -61,14 +61,10 @@ def collect_delivery_stats(trace: TraceLog) -> DeliveryStats:
             item = event.get("item")
             if item is not None:
                 per_item[item] = per_item.get(item, 0) + 1
-            node = event.get("node")
-            if node is not None:
-                per_node[node] = per_node.get(node, 0) + 1
         return DeliveryStats(
             source="memory",
             latencies=latencies,
             per_item=per_item,
-            per_node=per_node,
             summary=Summary.of(latencies),
         )
 
@@ -87,7 +83,6 @@ def collect_delivery_stats(trace: TraceLog) -> DeliveryStats:
         return DeliveryStats(
             source="streaming",
             per_item=dict(streaming.deliveries_per_item),
-            per_node=dict(streaming.deliveries_per_node),
             summary=summary,
         )
 

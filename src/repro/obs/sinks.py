@@ -289,64 +289,44 @@ class EventView(Sequence):
 class StreamingSink:
     """Folds events into aggregates as they arrive — bounded memory.
 
-    Retained state is O(kinds + items + nodes + histogram buckets),
-    independent of how many events flow through: a run publishing 10x
-    the items retains the same *event* count (zero) and merely bumps
-    integers.  What it keeps:
+    Retained state is O(kinds + items + histogram buckets), independent
+    of how many events flow through and of how many nodes deliver: a
+    run publishing 10x the items retains the same *event* count (zero)
+    and merely bumps integers.  What it keeps:
 
     * per-kind event counts;
     * a latency histogram over ``deliver`` events (approximate
       percentiles, exact count/mean/min/max);
-    * per-item delivery counts (delivery-ratio numerators);
-    * per-node delivery counts (the trace-level receive view;
-      wire-level byte counters live in
-      :meth:`repro.sim.network.Network.node_stats`).
+    * per-item delivery counts (delivery-ratio numerators).
+
+    Per-node receive counts are not kept; wire-level per-node counters
+    live in :meth:`repro.sim.network.Network.node_stats`.
     """
 
     def __init__(self) -> None:
         self.counts: Dict[str, int] = {}
         self.latency = HistogramData(DEFAULT_BUCKETS)
         self.deliveries_per_item: Dict[str, int] = {}
-        self.deliveries_per_node: Dict[str, int] = {}
         self.first_time: Optional[float] = None
         self.last_time: Optional[float] = None
         self.events_seen = 0
 
     def emit(self, time: float, kind: str, fields: Mapping[str, Any]) -> None:
-        self.events_seen += 1
-        if self.first_time is None:
-            self.first_time = time
-        self.last_time = time
-        self.counts[kind] = self.counts.get(kind, 0) + 1
-        if kind == "deliver":
-            latency = fields.get("latency")
-            if latency is not None:
-                self.latency.observe(latency)
-            item = fields.get("item")
-            if item is not None:
-                self.deliveries_per_item[item] = (
-                    self.deliveries_per_item.get(item, 0) + 1
-                )
-            node = fields.get("node")
-            if node is not None:
-                self.deliveries_per_node[node] = (
-                    self.deliveries_per_node.get(node, 0) + 1
-                )
+        self.emit_many(kind, ((time, fields),))
 
     def emit_many(self, kind: str, events: TraceBatch) -> None:
-        """``emit`` for a same-kind batch: the per-kind bookkeeping once,
-        the per-event bumps in event order (float sums stay bit-equal)."""
-        if not events or kind != "deliver":
-            for time, fields in events:
-                self.emit(time, kind, fields)
+        """Fold a same-kind batch: the per-kind bookkeeping once, the
+        ``deliver`` fields in event order (float sums stay bit-equal)."""
+        if not events:
             return
         self.events_seen += len(events)
         if self.first_time is None:
             self.first_time = events[0][0]
         self.last_time = events[-1][0]
         self.counts[kind] = self.counts.get(kind, 0) + len(events)
+        if kind != "deliver":
+            return
         per_item = self.deliveries_per_item
-        per_node = self.deliveries_per_node
         latencies = []
         for _, fields in events:
             latency = fields.get("latency")
@@ -355,9 +335,6 @@ class StreamingSink:
             item = fields.get("item")
             if item is not None:
                 per_item[item] = per_item.get(item, 0) + 1
-            node = fields.get("node")
-            if node is not None:
-                per_node[node] = per_node.get(node, 0) + 1
         self.latency.observe_many(latencies)
 
     @property
@@ -382,10 +359,6 @@ class StreamingSink:
             self.deliveries_per_item[item] = (
                 self.deliveries_per_item.get(item, 0) + count
             )
-        for node, count in other.deliveries_per_node.items():
-            self.deliveries_per_node[node] = (
-                self.deliveries_per_node.get(node, 0) + count
-            )
         if other.first_time is not None and (
             self.first_time is None or other.first_time < self.first_time
         ):
@@ -399,7 +372,6 @@ class StreamingSink:
         self.counts.clear()
         self.latency = HistogramData(DEFAULT_BUCKETS)
         self.deliveries_per_item.clear()
-        self.deliveries_per_node.clear()
         self.first_time = None
         self.last_time = None
         self.events_seen = 0
@@ -414,7 +386,6 @@ class StreamingSink:
             "counts": dict(sorted(self.counts.items())),
             "latency": self.latency.as_dict(),
             "distinct_items": len(self.deliveries_per_item),
-            "distinct_delivery_nodes": len(self.deliveries_per_node),
             "first_time": self.first_time,
             "last_time": self.last_time,
         }

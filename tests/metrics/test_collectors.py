@@ -48,7 +48,6 @@ class TestCollectorSources:
         assert stats.source == "memory"
         assert stats.latencies == [0.5, 1.5, 2.0]
         assert stats.per_item == {"i1": 2, "i2": 1}
-        assert stats.per_node == {"/a": 2, "/b": 1}
         assert stats.total_deliveries == 3
         assert stats.summary.count == 3
         assert stats.summary.maximum == 2.0
@@ -59,7 +58,6 @@ class TestCollectorSources:
         assert stats.source == "streaming"
         assert stats.latencies == []  # exact values not retained
         assert stats.per_item == {"i1": 2, "i2": 1}
-        assert stats.per_node == {"/a": 2, "/b": 1}
         assert stats.summary.count == 3
         assert stats.summary.maximum == 2.0
         assert stats.summary.p50 == pytest.approx(1.5, abs=1.0)

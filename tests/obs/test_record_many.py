@@ -50,7 +50,6 @@ def streaming_state(sink):
     return (
         sink.as_dict(),
         sink.deliveries_per_item,
-        sink.deliveries_per_node,
         sink.latency.counts,
         sink.latency.total,
     )

@@ -1,7 +1,11 @@
 """Tests for the trace sinks and the TraceLog fan-out dispatcher."""
 
 import json
+import tracemalloc
 
+import pytest
+
+from repro.obs import sinks
 from repro.obs.sinks import (
     JsonlFileSink,
     MemorySink,
@@ -46,7 +50,6 @@ class TestStreamingSink:
         assert sink.latency.count == 50
         assert sum(sink.deliveries_per_item.values()) == 50
         assert len(sink.deliveries_per_item) == 10
-        assert len(sink.deliveries_per_node) == 5
         assert sink.count("forward") == 1
         assert sink.count("deliver") == 50
         assert sink.first_time is not None
@@ -64,13 +67,42 @@ class TestStreamingSink:
             retained.append(log.retained_events)
             aggregate_sizes.append(
                 len(sink.deliveries_per_item)
-                + len(sink.deliveries_per_node)
                 + len(sink.latency.counts)
             )
         assert retained == [0, 0, 0]
-        # Aggregate state is bounded by distinct items/nodes/buckets,
+        # Aggregate state is bounded by distinct items/buckets,
         # not by how many events flowed through.
         assert aggregate_sizes[0] == aggregate_sizes[-1]
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_state_does_not_grow_with_delivering_nodes(self, batched):
+        """Deliveries of 3 items from 100 or from 20,000 distinct nodes
+        leave the sink holding the same bytes: nothing is kept per node."""
+
+        def retained_bytes(num_nodes):
+            events = [
+                (0.001 * i, {"node": f"/z{i // 100}/n{i}", "item": f"i{i % 3}",
+                             "latency": 0.5})
+                for i in range(num_nodes)
+            ]
+            tracemalloc.start()
+            try:
+                sink = StreamingSink()
+                if batched:
+                    sink.emit_many("deliver", events)
+                else:
+                    for time, fields in events:
+                        sink.emit(time, "deliver", fields)
+                snapshot = tracemalloc.take_snapshot()
+            finally:
+                tracemalloc.stop()
+            assert sink.count("deliver") == num_nodes
+            in_sinks = snapshot.filter_traces([tracemalloc.Filter(True, sinks.__file__)])
+            return sum(stat.size for stat in in_sinks.statistics("filename"))
+
+        # The slack covers a few count ints past the small-int cache; a
+        # per-node tally would add ~20 B per node, ~400 KiB here.
+        assert retained_bytes(20_000) <= retained_bytes(100) + 1024
 
     def test_as_dict_jsonable(self):
         sink = StreamingSink()

@@ -132,5 +132,4 @@ class TestStreamingSinkMerge:
         a.merge(b)
         assert a.as_dict() == serial.as_dict()
         assert a.deliveries_per_item == serial.deliveries_per_item
-        assert a.deliveries_per_node == serial.deliveries_per_node
         assert (a.first_time, a.last_time) == (serial.first_time, serial.last_time)
