@@ -1,6 +1,8 @@
 # Convenience targets for the NewsWire reproduction.
 
 PYTHON ?= python
+# Every target runs from the checkout's src/, installed or not.
+export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: install test test-fast test-quick lint fuzz fuzz-routing bench bench-sweep sweep experiments experiments-quick report profile examples live clean
 
@@ -49,7 +51,7 @@ bench:
 # the same run path, printed as a table (speedup scales with physical
 # cores; docs/PARALLEL.md).
 bench-sweep:
-	PYTHONPATH=src $(PYTHON) -m repro.parallel.bench_sweep
+	$(PYTHON) -m repro.parallel.bench_sweep
 
 # The decomposable sweeps with their cells fanned out over two worker
 # processes — output is byte-identical to --workers 1 (docs/PARALLEL.md).
@@ -72,12 +74,12 @@ report:
 # plus metric time series, written under profile/ — results are
 # byte-identical with profiling on or off (docs/OBSERVABILITY.md).
 profile:
-	PYTHONPATH=src $(PYTHON) -m repro.experiments e2 --quick --profile --profile-dir profile
+	$(PYTHON) -m repro.experiments e2 --quick --profile --profile-dir profile
 
 # 50 live UDP nodes across 4 worker processes on localhost; fails
 # under 99% delivery or without duplicate suppression (docs/RUNTIME.md).
 live:
-	PYTHONPATH=src $(PYTHON) -m repro.live --nodes 50
+	$(PYTHON) -m repro.live --nodes 50
 
 examples:
 	$(PYTHON) examples/quickstart.py
