@@ -13,6 +13,7 @@ is irrelevant to the protocol behaviour being reproduced.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac
 import json
@@ -21,6 +22,11 @@ from typing import Any, Dict, Mapping, Optional
 
 from repro.core.errors import CertificateError
 from repro.core.identifiers import ZonePath
+
+
+#: Scope string -> zone, one cache shared by every certificate in the
+#: process: ``scope`` is read once per zone aggregation and per publish.
+_parse_scope = functools.lru_cache(maxsize=1 << 10)(ZonePath.parse)
 
 
 def _canonical(payload: Mapping[str, Any]) -> bytes:
@@ -139,7 +145,7 @@ class AggregationCertificate:
 
     @property
     def scope(self) -> ZonePath:
-        return ZonePath.parse(self.certificate["scope"])
+        return _parse_scope(self.certificate["scope"])
 
     @property
     def issued_at(self) -> float:
@@ -185,7 +191,7 @@ class PublisherCertificate:
 
     @property
     def scope(self) -> ZonePath:
-        return ZonePath.parse(self.certificate["scope"])
+        return _parse_scope(self.certificate["scope"])
 
     def verify(self, keychain: KeyChain) -> None:
         self.certificate.verify(keychain)
