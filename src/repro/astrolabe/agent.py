@@ -27,6 +27,7 @@ states") — hypothesis-tested in ``tests/astrolabe``.
 from __future__ import annotations
 
 import functools
+import operator
 from typing import Any, Dict, Mapping, Optional, Sequence
 
 from repro.core.config import NewsWireConfig
@@ -56,6 +57,22 @@ BASE_LEAF_ATTRIBUTES = ("nmembers", "load", "contacts", "loads", "leaf")
 #: Contact string -> node id, one cache shared by every agent in the
 #: process (a map per agent would hold the same ids once per replica).
 _node_id = functools.lru_cache(maxsize=1 << 16)(ZonePath.parse)
+
+
+#: Zone -> (row maps, in-scope certificates, aggregate row or None): the
+#: last aggregation of each zone, shared by every agent in the process.
+#: After the time-zero pre-seed all members of a zone hold the same row
+#: objects, so one member evaluates the AQL and the others share its
+#: row's attribute map, which makes the parent level hit as well.  A hit
+#: needs the very same map and certificate objects in the same order;
+#: the entry keeps them alive, so no ``id`` is reused while it stands.
+#: Sound because row maps are read-only (``Row.mapping``'s contract) and
+#: programs are pure.  One entry per zone path bounds it.
+_AGGREGATES: Dict[ZonePath, tuple[list, tuple, Optional[Row]]] = {}
+
+
+def _identical(first: Sequence[object], second: Sequence[object]) -> bool:
+    return len(first) == len(second) and all(map(operator.is_, first, second))
 
 
 def contact_node_id(contact: object) -> Optional[NodeId]:
@@ -145,6 +162,9 @@ class AstrolabeAgent(Process):
         #: instead of staying isolated forever.
         self._remembered_peers: list[str] = []
         self._last_stamp = -1.0
+        #: False until the first refresh or start: writes before then
+        #: only record their values, and take no stamp.
+        self._refreshed = False
 
     def _stamp(self) -> float:
         """A strictly increasing local timestamp.
@@ -195,7 +215,7 @@ class AstrolabeAgent(Process):
         if name == "load":
             self._own_attributes["loads"] = (value,)
         self._own_row = None
-        if not self.crashed:
+        if self._refreshed and not self.crashed:
             self._refresh_own_row()
             self._recompute_aggregates()
 
@@ -205,7 +225,7 @@ class AstrolabeAgent(Process):
             if name == "load":
                 self._own_attributes["loads"] = (value,)
         self._own_row = None
-        if not self.crashed:
+        if self._refreshed and not self.crashed:
             self._refresh_own_row()
             self._recompute_aggregates()
 
@@ -225,6 +245,7 @@ class AstrolabeAgent(Process):
         self._recompute_aggregates()
 
     def _refresh_own_row(self) -> None:
+        self._refreshed = True
         writer = str(self.node_id)
         version = (self._stamp(), writer)
         if self._own_row is None:
@@ -263,7 +284,7 @@ class AstrolabeAgent(Process):
         if installed:
             self._certs_sorted = None
             self._certs_token += 1
-            if not self.crashed:
+            if self._refreshed and not self.crashed:
                 self._recompute_aggregates()
         return installed
 
@@ -297,17 +318,39 @@ class AstrolabeAgent(Process):
             return dict(cached[1])
         rows = table.row_mappings()
         output: Dict[str, AttributeValue] = {}
-        for name, certificate in self._sorted_certs():
-            if not certificate.scope.contains(zone):
-                continue
-            program = compile_program(certificate.aql_source)
-            result = program.evaluate(rows)
+        for certificate in self._in_scope(zone):
+            result = compile_program(certificate.aql_source).evaluate(rows)
             for key, value in result.items():
                 if isinstance(value, (list, set)):
                     value = tuple(value)
                 output[key] = value
         self._agg_cache[zone] = (token, output)
         return dict(output)
+
+    def _in_scope(self, zone: ZonePath) -> tuple[AggregationCertificate, ...]:
+        return tuple(
+            cert for _, cert in self._sorted_certs() if cert.scope.contains(zone)
+        )
+
+    def _aggregate_row(self, zone: ZonePath, table: ZoneTable) -> Optional[Row]:
+        """``zone``'s aggregate row (any version), or None if it has no
+        attributes: from the shared memo, :data:`_AGGREGATES`, or on a
+        miss from :meth:`evaluate_zone`."""
+        rows = table.row_mappings()
+        certificates = self._in_scope(zone)
+        memo = _AGGREGATES.get(zone)
+        if memo is None or not (
+            _identical(memo[0], rows) and _identical(memo[1], certificates)
+        ):
+            self._agg_cache.pop(zone, None)  # evaluate exactly these rows
+            attributes = self.evaluate_zone(zone)
+            row = None
+            if attributes:
+                attributes["zone"] = zone.name
+                attributes["leaf"] = False
+                row = Row(attributes, (0.0, ""), "")
+            memo = _AGGREGATES[zone] = (rows, certificates, row)
+        return memo[2]
 
     def _recompute_aggregates(self) -> None:
         """Refresh the aggregate row of every zone on the root path.
@@ -324,15 +367,12 @@ class AstrolabeAgent(Process):
                 continue
             token = (table.content_token, self._certs_token)
             cached = self._agg_rows.get(zone)
-            if cached is not None and cached[0] == token:
-                row = cached[1].restamped((self._stamp(), writer))
-            else:
-                attributes = self.evaluate_zone(zone)
-                if not attributes:
+            if cached is None or cached[0] != token:
+                shared = self._aggregate_row(zone, table)
+                if shared is None:
                     continue
-                attributes["zone"] = zone.name
-                attributes["leaf"] = False
-                row = Row(attributes, (self._stamp(), writer), writer)
+                cached = (token, shared)
+            row = cached[1].restamped((self._stamp(), writer), writer)
             self._agg_rows[zone] = (token, row)
             self.tables[self.zones[index - 1]].put_row(zone.name, row)
 

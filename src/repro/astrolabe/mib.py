@@ -81,17 +81,18 @@ class Row(Mapping[str, AttributeValue]):
         merged.update(changes)
         return Row(merged, version, self.writer)
 
-    def restamped(self, version: Version) -> "Row":
-        """The same attributes under a new version.
+    def restamped(self, version: Version, writer: Optional[str] = None) -> "Row":
+        """The same attributes under a new version (and ``writer``, if given).
 
         Rows are immutable, so the already validated attribute map and
         its cached wire size are shared instead of re-checked, copied
-        and re-sized — the per-round refresh of an unchanged row.
+        and re-sized — the per-round refresh of an unchanged row, and
+        one agent's copy of an aggregate another agent computed.
         """
         row = Row.__new__(Row)
         row.mapping = self.mapping
         row.version = version
-        row.writer = self.writer
+        row.writer = self.writer if writer is None else writer
         row._wire = self.wire_size()
         return row
 
