@@ -6,7 +6,11 @@ installed-certificate generation) and re-stamps its own row until an
 attribute is set; compiled AQL programs are memoized by source text;
 zone tables keep their sorted labels until the key set changes.  All
 must be invisible except for speed: each is rebuilt after the event
-that should invalidate it, and a version-only refresh keeps it.
+that should invalidate it, and a version-only refresh keeps it.  Once
+an agent is refreshed or started they leave its ``_stamp()`` calls as
+they were; before that, writes take no stamp at all.  The aggregate
+memo shared by all agents, and that deferral, are tested in
+``test_aggregate_memo.py``.
 """
 
 from types import SimpleNamespace
