@@ -59,20 +59,56 @@ BASE_LEAF_ATTRIBUTES = ("nmembers", "load", "contacts", "loads", "leaf")
 _node_id = functools.lru_cache(maxsize=1 << 16)(ZonePath.parse)
 
 
-#: Zone -> (row maps, in-scope certificates, aggregate row or None): the
-#: last aggregation of each zone, shared by every agent in the process.
-#: After the time-zero pre-seed all members of a zone hold the same row
-#: objects, so one member evaluates the AQL and the others share its
-#: row's attribute map, which makes the parent level hit as well.  A hit
-#: needs the very same map and certificate objects in the same order;
-#: the entry keeps them alive, so no ``id`` is reused while it stands.
-#: Sound because row maps are read-only (``Row.mapping``'s contract) and
-#: programs are pure.  One entry per zone path bounds it.
-_AGGREGATES: Dict[ZonePath, tuple[list, tuple, Optional[Row]]] = {}
+#: Zone -> (row maps, in-scope certificates, attribute map, aggregate
+#: row or None): the last aggregation of each zone, shared by every agent
+#: in the process and by the pre-seed.  After the time-zero pre-seed all
+#: members of a zone hold the same row objects, so one member evaluates
+#: the AQL and the others share its row's attribute map, which makes the
+#: parent level hit as well.  A hit needs the very same map and
+#: certificate objects in the same order; the entry keeps them alive, so
+#: no ``id`` is reused while it stands.  Sound because row maps are
+#: read-only (``Row.mapping``'s contract) and programs are pure.  One
+#: entry per zone path bounds it.
+_AGGREGATES: Dict[
+    ZonePath, tuple[list, tuple, Dict[str, AttributeValue], Optional[Row]]
+] = {}
 
 
 def _identical(first: Sequence[object], second: Sequence[object]) -> bool:
     return len(first) == len(second) and all(map(operator.is_, first, second))
+
+
+def aggregate(
+    zone: ZonePath,
+    rows: list[Mapping[str, object]],
+    certificates: tuple[AggregationCertificate, ...],
+) -> tuple[Dict[str, AttributeValue], Optional[Row]]:
+    """``zone``'s aggregate: the attribute map that ``certificates`` (in
+    scope, name order) compute over ``rows``, and the same map with the
+    zone's ``zone`` and ``leaf`` attributes as a row (any version), or
+    None if the map is empty.
+
+    The one place AQL runs over a zone table, memoised in
+    :data:`_AGGREGATES`: it evaluates only when the zone's entry holds
+    other row maps or certificates.  Both results are shared and
+    read-only; re-stamp the row with :meth:`Row.restamped`.
+    """
+    memo = _AGGREGATES.get(zone)
+    if memo is None or not (
+        _identical(memo[0], rows) and _identical(memo[1], certificates)
+    ):
+        attributes: Dict[str, AttributeValue] = {}
+        for certificate in certificates:
+            result = compile_program(certificate.aql_source).evaluate(rows)
+            for key, value in result.items():
+                if isinstance(value, (list, set)):
+                    value = tuple(value)
+                attributes[key] = value
+        row = None
+        if attributes:
+            row = Row({**attributes, "zone": zone.name, "leaf": False}, (0.0, ""), "")
+        memo = _AGGREGATES[zone] = (rows, certificates, attributes, row)
+    return memo[2], memo[3]
 
 
 def contact_node_id(contact: object) -> Optional[NodeId]:
@@ -138,19 +174,12 @@ class AstrolabeAgent(Process):
             "leaf": True,
         }
         self._certs: VersionedStore[str, AggregationCertificate] = VersionedStore()
-        #: Sorted (name, cert) view, rebuilt lazily behind a dirty flag
-        #: instead of re-sorting on every evaluation of every zone.
-        self._certs_sorted: Optional[list[tuple[str, AggregationCertificate]]] = None
-        #: Bumped on every accepted install; part of the aggregation
-        #: cache key so new mobile code invalidates cached results.
-        self._certs_token = 0
-        #: Per-zone aggregation results keyed on (table content, certs)
-        #: tokens — unchanged zones skip AQL re-evaluation entirely.
-        self._agg_cache: Dict[
-            ZonePath, tuple[tuple[int, int], Dict[str, AttributeValue]]
-        ] = {}
-        #: The last aggregate row of each zone, on the same key; re-stamped
-        #: while the key holds.  Likewise the own row, until an attribute is set.
+        #: Sorted (name, cert) view under the store's generation, rebuilt
+        #: only after an install instead of on every evaluation.
+        self._certs_sorted: tuple[int, list[tuple[str, AggregationCertificate]]] = (-1, [])
+        #: The last aggregate row of each zone under (table content token,
+        #: certificate generation); re-stamped while the key holds.
+        #: Likewise the own row, until an attribute is set.
         self._agg_rows: Dict[ZonePath, tuple[tuple[int, int], Row]] = {}
         self._own_row: Optional[Row] = None
         #: Per zone: content token -> sorted unique contacts (gossip candidates).
@@ -281,20 +310,18 @@ class AstrolabeAgent(Process):
             ) from exc
         version: Version = (certificate.issued_at, certificate.certificate.issuer)
         installed = self._certs.put(certificate.name, certificate, version)
-        if installed:
-            self._certs_sorted = None
-            self._certs_token += 1
-            if self._refreshed and not self.crashed:
-                self._recompute_aggregates()
+        if installed and self._refreshed and not self.crashed:
+            self._recompute_aggregates()
         return installed
 
     def aggregation_certificates(self) -> list[AggregationCertificate]:
         return [cert for _, cert in self._sorted_certs()]
 
     def _sorted_certs(self) -> list[tuple[str, AggregationCertificate]]:
-        if self._certs_sorted is None:
-            self._certs_sorted = sorted(self._certs.items(), key=lambda kv: kv[0])
-        return self._certs_sorted
+        generation = self._certs.generation
+        if self._certs_sorted[0] != generation:
+            self._certs_sorted = (generation, sorted(self._certs.items(), key=lambda kv: kv[0]))
+        return self._certs_sorted[1]
 
     def evaluate_zone(self, zone: ZonePath) -> Dict[str, AttributeValue]:
         """Evaluate all in-scope aggregation functions over ``zone``'s table.
@@ -304,53 +331,18 @@ class AstrolabeAgent(Process):
         zone will have all the information", §6) — call it with the
         root path to read global aggregates as this agent sees them.
 
-        Results are cached per zone, keyed on the table's content token
-        and the installed-certificate generation: aggregation is a pure
-        function of row *values* and programs, so when neither changed
-        since the last evaluation the cached map is returned (as a
-        fresh copy — callers may mutate it) and the AQL run is skipped.
-        Version-only row refreshes do not invalidate the cache.
+        Goes through :func:`aggregate`, so AQL runs only when no agent
+        has evaluated these very rows and certificates since the zone's
+        last aggregation; the result is a fresh copy (callers may
+        mutate it).
         """
-        table = self.zone_table(zone)
-        token = (table.content_token, self._certs_token)
-        cached = self._agg_cache.get(zone)
-        if cached is not None and cached[0] == token:
-            return dict(cached[1])
-        rows = table.row_mappings()
-        output: Dict[str, AttributeValue] = {}
-        for certificate in self._in_scope(zone):
-            result = compile_program(certificate.aql_source).evaluate(rows)
-            for key, value in result.items():
-                if isinstance(value, (list, set)):
-                    value = tuple(value)
-                output[key] = value
-        self._agg_cache[zone] = (token, output)
-        return dict(output)
+        rows = self.zone_table(zone).row_mappings()
+        return dict(aggregate(zone, rows, self._in_scope(zone))[0])
 
     def _in_scope(self, zone: ZonePath) -> tuple[AggregationCertificate, ...]:
         return tuple(
             cert for _, cert in self._sorted_certs() if cert.scope.contains(zone)
         )
-
-    def _aggregate_row(self, zone: ZonePath, table: ZoneTable) -> Optional[Row]:
-        """``zone``'s aggregate row (any version), or None if it has no
-        attributes: from the shared memo, :data:`_AGGREGATES`, or on a
-        miss from :meth:`evaluate_zone`."""
-        rows = table.row_mappings()
-        certificates = self._in_scope(zone)
-        memo = _AGGREGATES.get(zone)
-        if memo is None or not (
-            _identical(memo[0], rows) and _identical(memo[1], certificates)
-        ):
-            self._agg_cache.pop(zone, None)  # evaluate exactly these rows
-            attributes = self.evaluate_zone(zone)
-            row = None
-            if attributes:
-                attributes["zone"] = zone.name
-                attributes["leaf"] = False
-                row = Row(attributes, (0.0, ""), "")
-            memo = _AGGREGATES[zone] = (rows, certificates, row)
-        return memo[2]
 
     def _recompute_aggregates(self) -> None:
         """Refresh the aggregate row of every zone on the root path.
@@ -365,15 +357,16 @@ class AstrolabeAgent(Process):
             table = self.tables[zone]
             if table.is_empty:
                 continue
-            token = (table.content_token, self._certs_token)
+            key = (table.content_token, self._certs.generation)
             cached = self._agg_rows.get(zone)
-            if cached is None or cached[0] != token:
-                shared = self._aggregate_row(zone, table)
-                if shared is None:
-                    continue
-                cached = (token, shared)
+            if cached is None or cached[0] != key:
+                if not self.evaluate_zone(zone):
+                    continue  # no certificate in scope gave an attribute
+                # evaluate_zone has just read or written this zone's
+                # memo entry for exactly this replica: take its row.
+                cached = (key, _AGGREGATES[zone][3])
             row = cached[1].restamped((self._stamp(), writer), writer)
-            self._agg_rows[zone] = (token, row)
+            self._agg_rows[zone] = (key, row)
             self.tables[self.zones[index - 1]].put_row(zone.name, row)
 
     # ------------------------------------------------------------------

@@ -27,10 +27,8 @@ from repro.sim.engine import Simulation
 from repro.sim.failures import FailureInjector
 from repro.sim.network import LatencyModel, Network
 from repro.sim.trace import TraceLog
-from repro.astrolabe.agent import AstrolabeAgent
-from repro.astrolabe.aql import compile_program
+from repro.astrolabe.agent import AstrolabeAgent, aggregate
 from repro.astrolabe.certificates import AggregationCertificate, KeyChain
-from repro.astrolabe.mib import Row
 from repro.astrolabe.representatives import issue_core_certificate
 from repro.astrolabe.zone import ZoneTable
 
@@ -263,7 +261,7 @@ def build_astrolabe(
         agents.append(agent)
 
     if preseed:
-        _preseed(agents, config, certificates)
+        _preseed(agents, config)
 
     if start:
         for agent in agents:
@@ -281,14 +279,11 @@ def build_astrolabe(
     )
 
 
-def _preseed(
-    agents: Sequence[AstrolabeAgent],
-    config: NewsWireConfig,
-    certificates: Sequence[AggregationCertificate],
-) -> None:
+def _preseed(agents: Sequence[AstrolabeAgent], config: NewsWireConfig) -> None:
     """Give every agent a consistent time-zero view of its path tables."""
-    # 1. God tables with every leaf row.
+    # 1. God tables with every leaf row, and one member of every zone.
     god: Dict[ZonePath, ZoneTable] = {}
+    members: Dict[ZonePath, AstrolabeAgent] = {}
     for agent in agents:
         agent.refresh()
         parent = agent.parent_zone
@@ -299,31 +294,31 @@ def _preseed(
         row = agent.own_row()
         assert row is not None
         table.put_row(agent.node_id.name, row)
+        for zone in agent.zones:
+            members.setdefault(zone, agent)
 
     # 2. Aggregate bottom-up, one level at a time: aggregating depth-d
     # zones creates their depth-(d-1) parents, which the next pass
-    # processes, until only the root remains.
-    programs = [
-        (cert, compile_program(cert.aql_source))
-        for cert in sorted(certificates, key=lambda c: c.name)
-    ]
+    # processes, until only the root remains.  Each zone is aggregated
+    # under the certificates its members hold (the newest of each
+    # name), through the memo the agents' own rounds then hit.
     depth = max(zone.depth for zone in god)
     while depth > 0:
         for zone in sorted(zone for zone in god if zone.depth == depth):
-            table = god[zone]
-            attributes: Dict[str, object] = {}
-            for cert, program in programs:
-                if cert.scope.contains(zone):
-                    attributes.update(program.evaluate(table.row_mappings()))
-            attributes["zone"] = zone.name
-            attributes["leaf"] = False
-            row = Row(attributes, (0.0, "agg:init"), "agg:init")
+            certificates = tuple(
+                cert
+                for cert in members[zone].aggregation_certificates()
+                if cert.scope.contains(zone)
+            )
+            _, shared = aggregate(zone, god[zone].row_mappings(), certificates)
+            if shared is None:
+                continue
             parent = zone.parent()
             parent_table = god.get(parent)
             if parent_table is None:
                 parent_table = ZoneTable(parent, config.branching_factor)
                 god[parent] = parent_table
-            parent_table.put_row(zone.name, row)
+            parent_table.put_row(zone.name, shared.restamped((0.0, "agg:init"), "agg:init"))
         depth -= 1
 
     # 3. Hand each agent the tables on its root path.

@@ -50,7 +50,7 @@ class ZoneTable:
         gossip round.  Aggregation results depend only on attribute
         values, so a consumer that caches per-zone aggregates can key
         them on this token and skip re-evaluating unchanged zones (see
-        ``AstrolabeAgent.evaluate_zone``).
+        ``AstrolabeAgent._recompute_aggregates``).
         """
         return self._content
 
