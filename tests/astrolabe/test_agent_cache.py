@@ -1,16 +1,17 @@
 """Tests for the agent's and the zone table's caches.
 
-The agent caches per-zone aggregation output, aggregate rows and gossip
-candidates on the table's content token (aggregation also on the
-installed-certificate generation) and re-stamps its own row until an
-attribute is set; compiled AQL programs are memoized by source text;
-zone tables keep their sorted labels until the key set changes.  All
-must be invisible except for speed: each is rebuilt after the event
-that should invalidate it, and a version-only refresh keeps it.  Once
-an agent is refreshed or started they leave its ``_stamp()`` calls as
-they were; before that, writes take no stamp at all.  The aggregate
-memo shared by all agents, and that deferral, are tested in
-``test_aggregate_memo.py``.
+The agent keeps its last aggregate row of each zone and its gossip
+candidates on the table's content token (aggregate rows also on the
+certificate store's generation), its sorted certificates on that
+generation, and re-stamps its own row until an attribute is set;
+compiled AQL programs are memoized by source text; zone tables keep
+their sorted labels until the key set changes.  All must be invisible
+except for speed: each is rebuilt after the event that should
+invalidate it, and a version-only refresh keeps it.  Once an agent is
+refreshed or started they leave its ``_stamp()`` calls as they were;
+before that, writes take no stamp at all.  The aggregate memo that
+the gossip round, the public ``evaluate_zone`` query and the pre-seed
+share, and that deferral, are tested in ``test_aggregate_memo.py``.
 """
 
 from types import SimpleNamespace
@@ -53,14 +54,18 @@ class TestCompileMemo:
 
 
 class TestAggregationCache:
-    def test_repeated_evaluation_is_stable_and_cached(self, deployment):
+    def test_repeated_evaluation_is_stable_and_cached(self, deployment, monkeypatch):
         agent = deployment.agents[0]
         zone = agent.parent_zone
         first = agent.evaluate_zone(zone)
-        token = agent._agg_cache[zone][0]
+        calls = []
+        evaluate = AqlProgram.evaluate
+        monkeypatch.setattr(
+            AqlProgram, "evaluate", lambda program, rows: calls.append(1) or evaluate(program, rows)
+        )
         second = agent.evaluate_zone(zone)
         assert second == first
-        assert agent._agg_cache[zone][0] == token  # no re-evaluation
+        assert calls == []  # no re-evaluation
 
     def test_returned_mapping_is_a_copy(self, deployment):
         agent = deployment.agents[0]

@@ -20,6 +20,7 @@ from repro.core.config import NewsWireConfig
 from repro.core.identifiers import ZonePath
 from repro.astrolabe.aql import AqlProgram, compile_program
 from repro.astrolabe.certificates import AggregationCertificate, KeyChain, _parse_scope
+from repro.astrolabe.representatives import CORE_AGGREGATION_NAME
 from repro.astrolabe.deployment import ADMIN_PRINCIPAL, build_astrolabe
 from repro.news import build_newswire
 from repro.news.node import NewsWireNode
@@ -34,8 +35,8 @@ def three_subjects(index):
     return tuple(Subscription(SUBJECTS[(index + k) % len(SUBJECTS)]) for k in range(3))
 
 
-def fresh_aggregate(agent, zone):
-    """``zone``'s aggregate row map, evaluated from scratch over the
+def fresh_attributes(agent, zone):
+    """``zone``'s aggregate attributes, evaluated from scratch over the
     agent's own replica of the zone's table."""
     rows = agent.zone_table(zone).row_mappings()
     expected = {}
@@ -44,7 +45,12 @@ def fresh_aggregate(agent, zone):
             result = compile_program(certificate.aql_source).evaluate(rows)
             for key, value in result.items():
                 expected[key] = tuple(value) if isinstance(value, (list, set)) else value
-    return {**expected, "zone": zone.name, "leaf": False}
+    return expected
+
+
+def fresh_aggregate(agent, zone):
+    """``zone``'s aggregate row map, evaluated from scratch."""
+    return {**fresh_attributes(agent, zone), "zone": zone.name, "leaf": False}
 
 
 def aggregate_row(agent, zone):
@@ -52,7 +58,12 @@ def aggregate_row(agent, zone):
     return agent.zone_table(zone.parent()).row(zone.name)
 
 
-def assert_aggregates_fresh(agent):
+def assert_aggregates_fresh(agent, other=None):
+    """Every aggregate row ``agent`` wrote, and its ``evaluate_zone``
+    answer at every level of its path (the root included), equal a
+    fresh evaluation over its own replica; each answer is checked right
+    after ``other``, if given, has aggregated the same zone over its
+    replica and so overwritten the zone's memo entry."""
     for zone in agent.zones[1:]:
         row = aggregate_row(agent, zone)
         assert row.writer == f"agg:{agent.node_id}"
@@ -60,15 +71,22 @@ def assert_aggregates_fresh(agent):
         assert repr(list(row.mapping.items())) == repr(
             list(fresh_aggregate(agent, zone).items())
         )
+    for zone in agent.zones:
+        if other is not None and other.replicates(zone):
+            other.evaluate_zone(zone)
+        assert repr(list(agent.evaluate_zone(zone).items())) == repr(
+            list(fresh_attributes(agent, zone).items())
+        )
 
 
 class TestBuildWork:
     def test_aql_evaluations_of_a_256_node_build(self, monkeypatch):
         """One evaluation per zone and certificate once the pre-seed has
-        handed out its tables, not one per member.  The parent commit
-        ran 2,850 evaluations here; most of the 578 left are the
+        handed out its tables, not one per member.  Before the memo the
+        build ran 2,850 evaluations here.  512 of the 546 left are the
         pre-seed's first step, where each agent's table holds only its
-        own row."""
+        own row; the agents' first rounds then hit the pre-seed's own
+        evaluations of the 16-member zones."""
         calls = []
         evaluate = AqlProgram.evaluate
         monkeypatch.setattr(
@@ -81,7 +99,7 @@ class TestBuildWork:
             subscriptions_for=three_subjects,
             seed=0,
         )
-        assert len(calls) == 578
+        assert len(calls) == 546
         # Every certificate in this build is scoped to the root: one parse.
         assert _parse_scope.cache_info().misses == 1
         for node in system.nodes[:32]:
@@ -129,9 +147,50 @@ class TestMemoDifferential:
         )
         nodes[rng.randrange(num_nodes)].install_aggregation(certificate)
         system.run_for(3.0)
-        for node in nodes:
+        for node, other in zip(nodes, nodes[-1:] + nodes[:-1]):
             node.refresh()
-            assert_aggregates_fresh(node)
+            assert_aggregates_fresh(node, other)
+
+    def test_each_agent_queries_its_own_replica(self):
+        """Two members of one zone whose replicas differ at every level:
+        neither may read the other's aggregate from the shared memo."""
+        deployment = build_astrolabe(16, NewsWireConfig(branching_factor=4), seed=5)
+        first = deployment.agents[0]
+        second = next(
+            agent for agent in deployment.agents[1:]
+            if agent.parent_zone == first.parent_zone
+        )
+        first.set_load(7.0)  # no gossip yet: only first's replica has it
+        for zone in first.zones:
+            assert first.evaluate_zone(zone)["maxload"] == 7.0
+            assert second.evaluate_zone(zone)["maxload"] == 0.0
+        assert_aggregates_fresh(first, second)
+        assert_aggregates_fresh(second, first)
+
+
+class TestPreseed:
+    def test_zones_aggregate_under_the_certificates_members_keep(self):
+        """A re-issued certificate replaces the one of its name on every
+        agent, so no pre-seeded row may carry what only the replaced
+        one computed."""
+        keychain = KeyChain()
+        keychain.register(ADMIN_PRINCIPAL)
+        reissued = AggregationCertificate.issue(
+            CORE_AGGREGATION_NAME,
+            "SELECT SUM(nmembers) AS nmembers, REPS_CONTACTS(2, contacts, loads) AS contacts, "
+            "REPS_LOADS(2, contacts, loads) AS loads",
+            ADMIN_PRINCIPAL, keychain, issued_at=5.0,
+        )
+        deployment = build_astrolabe(
+            64, NewsWireConfig(branching_factor=4), keychain=keychain,
+            extra_certificates=[reissued], start=False,
+        )
+        for agent in deployment.agents:
+            for zone in agent.zones:
+                for _, row in agent.zone_table(zone).rows():
+                    if not row["leaf"]:
+                        assert {"minload", "maxload", "loadsum"}.isdisjoint(row.mapping)
+            assert_aggregates_fresh(agent)
 
 
 def extra_certificate(keychain):
