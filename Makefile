@@ -4,7 +4,7 @@ PYTHON ?= python
 # Every target runs from the checkout's src/, installed or not.
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test test-fast test-quick lint fuzz fuzz-routing bench bench-sweep sweep experiments experiments-quick report profile examples live clean
+.PHONY: install test test-fast test-quick lint fuzz fuzz-routing bench bench-selftest bench-sweep sweep experiments experiments-quick report profile examples live clean
 
 install:
 	pip install -e '.[test]'
@@ -46,6 +46,12 @@ fuzz-routing:
 # `python3 bench/run.py --compare A B` on two saved runs.
 bench:
 	python3 bench/run.py
+
+# The benchmark's self-tests at smoke sizes, traced runs of every
+# workload included (same command as CI's bench-smoke job).  Run it
+# after changing any function bench/layers.py wraps.
+bench-selftest:
+	$(PYTHON) -m pytest bench/ -q
 
 # One-worker vs two-worker wall time on the quick sweeps, both through
 # the same run path, printed as a table (speedup scales with physical
